@@ -106,8 +106,8 @@ const std::vector<RuleInfo>& rule_catalogue() {
        "std::to_string materialises a temporary string inside an annotated "
        "hot-path region"},
       {"S104-hot-path-temp-key", Severity::Warn,
-       "map lookup constructs a temporary std::string key inside an "
-       "annotated hot-path region"},
+       "map lookup (or by-name obs registry lookup) constructs a temporary "
+       "std::string key inside an annotated hot-path region"},
       // --- syscall robustness rules ----------------------------------------
       {"S201-ignored-syscall-result", Severity::Warn,
        "the result of write/send/poll/rename is silently discarded — "

@@ -8,7 +8,9 @@
 // S1xx — hot-path hygiene, active only inside annotated
 // hot-path begin/end regions: allocations (S101), by-value std::string
 // parameters/returns (S102), std::to_string (S103), and map lookups that
-// construct a temporary key (S104).
+// construct a temporary key (S104) — including by-name obs registry
+// lookups (timer_target("..."), .counter("...")) outside a static
+// initializer.
 //
 // S2xx — syscall robustness: write/send/poll/rename results silently
 // discarded (S201).
@@ -402,6 +404,23 @@ bool lookup_member(const std::string& s) {
   return s == "find" || s == "count" || s == "at" || s == "contains";
 }
 
+/// The obs registry's by-name instrument lookups: each call builds a
+/// std::string key and searches the registry's map under its mutex.
+bool registry_lookup(const std::string& s) {
+  return s == "timer_target" || s == "counter" || s == "gauge" ||
+         s == "histogram";
+}
+
+/// True when token `i` belongs to a `static` declaration's initializer —
+/// a function-local static runs its lookup once, not per call.
+bool in_static_initializer(const Tokens& t, std::size_t i) {
+  while (i-- > 0) {
+    if (t[i].punct(";") || t[i].punct("{") || t[i].punct("}")) return false;
+    if (t[i].ident("static")) return true;
+  }
+  return false;
+}
+
 /// True for `std :: string` ending at index `i` (of the `string` token).
 bool std_string_at(const Tokens& t, std::size_t i) {
   return t[i].ident("string") && i >= 2 && t[i - 1].punct("::") &&
@@ -486,6 +505,19 @@ void hot_path_rules(Report& out, const SourceModel& m, const Structure& st) {
           }
         }
       }
+      continue;
+    }
+
+    if (registry_lookup(tok.text) && is_call(t, i) && i + 2 < t.size() &&
+        t[i + 2].kind == Token::Kind::String &&
+        (tok.text == "timer_target" || member_access_before(t, i)) &&
+        !in_static_initializer(t, i)) {
+      emit(out, "S104-hot-path-temp-key", subject(i), tok.text,
+           tok.text + "(\"...\") looks an instrument up by name on the hot "
+           "path — a temporary std::string key and a locked registry map "
+           "search per call; cache the reference in a function-local "
+           "static");
+      out.diagnostics.back().loc = {m.path, tok.line};
       continue;
     }
 

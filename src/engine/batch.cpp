@@ -34,6 +34,28 @@ BatchEvaluator::BatchEvaluator(Options opts)
     : jobs_(opts.jobs > 0 ? opts.jobs : default_jobs()),
       cache_(opts.cache_capacity) {}
 
+std::shared_ptr<ThreadPool> BatchEvaluator::pool() {
+  std::lock_guard lock(pool_mu_);
+  // The caller is the jobs-th participant of every run_chunks().
+  if (!pool_) pool_ = std::make_shared<ThreadPool>(jobs_ - 1);
+  return pool_;
+}
+
+int BatchEvaluator::pool_threads() const {
+  std::lock_guard lock(pool_mu_);
+  return pool_ ? pool_->size() : 0;
+}
+
+void BatchEvaluator::release_pool() {
+  std::shared_ptr<ThreadPool> old;
+  {
+    std::lock_guard lock(pool_mu_);
+    old.swap(pool_);
+  }
+  // `old` joins its workers here unless an evaluate() still holds it; the
+  // last holder joins them when its call returns.
+}
+
 std::vector<PredictionResult> BatchEvaluator::evaluate(const RequestSet& set) {
   obs::ScopedSpan span("engine", "evaluate");
   count_batch(set.size());
@@ -68,18 +90,17 @@ std::vector<PredictionResult> BatchEvaluator::evaluate(const RequestSet& set) {
   if (jobs_ == 1 || requests.size() == 1) {
     run_range(0, requests.size());
   } else {
-    // Contiguous chunks, a few per worker, so µs-scale requests amortise
-    // queue traffic while uneven chunks still balance.
-    const std::size_t want =
-        static_cast<std::size_t>(jobs_) * 4;
+    // Contiguous chunks, a few per participant, so µs-scale requests
+    // amortise the cursor traffic while uneven chunks still balance.
+    const std::size_t want = static_cast<std::size_t>(jobs_) * 4;
     const std::size_t chunk =
         std::max<std::size_t>(1, (requests.size() + want - 1) / want);
-    ThreadPool pool(jobs_);
-    for (std::size_t begin = 0; begin < requests.size(); begin += chunk) {
-      const std::size_t end = std::min(begin + chunk, requests.size());
-      pool.submit([&run_range, begin, end] { run_range(begin, end); });
-    }
-    pool.wait();
+    const std::size_t chunks = (requests.size() + chunk - 1) / chunk;
+    const std::shared_ptr<ThreadPool> workers = pool();
+    workers->run_chunks(chunks, [&run_range, &requests, chunk](std::size_t c) {
+      const std::size_t begin = c * chunk;
+      run_range(begin, std::min(begin + chunk, requests.size()));
+    });
   }
 
   if (span.active()) {
@@ -111,7 +132,7 @@ int g_default_jobs = 0;                         // 0 = auto
 /// Evaluators retired by set_default_jobs().  Callers may hold references
 /// across the swap, so old instances are never destroyed — parking them
 /// here (instead of plain-leaking the pointer) keeps them reachable and
-/// LeakSanitizer quiet.
+/// LeakSanitizer quiet.  Their thread pools are released on retirement.
 std::vector<BatchEvaluator*>& retired_evaluators() {
   static auto* retired = new std::vector<BatchEvaluator*>();
   return *retired;
@@ -133,6 +154,9 @@ void set_default_jobs(int jobs) {
   std::lock_guard lock(g_default_mu);
   g_default_jobs = jobs;
   if (g_default_evaluator && g_default_evaluator->jobs() != jobs) {
+    // Parked, not destroyed — but idle workers would otherwise live as
+    // long as the process, jobs - 1 of them per --jobs swap.
+    g_default_evaluator->release_pool();
     retired_evaluators().push_back(g_default_evaluator);
     BatchEvaluator::Options opts;
     opts.jobs = jobs;

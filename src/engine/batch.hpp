@@ -2,9 +2,15 @@
 // rvhpc::engine — BatchEvaluator: parallel, memoised, deterministic.
 //
 // evaluate() fans a RequestSet across a ThreadPool and returns results in
-// request order regardless of completion order — each task writes only its
-// own pre-allocated slot, so the output of a 1-thread and an 8-thread run
+// request order regardless of completion order — each chunk writes only its
+// own pre-allocated slots, so the output of a 1-thread and an 8-thread run
 // is identical byte for byte (predict() is pure; verified by test_engine).
+//
+// The pool is the evaluator's own: `jobs - 1` workers, started lazily by
+// the first parallel evaluate() and kept until the evaluator dies or
+// release_pool() is called.  The calling thread is the jobs-th participant
+// (ThreadPool::run_chunks), so jobs=1 evaluators, and evaluators that never
+// evaluate a multi-request set, never start a thread.
 //
 // A process-wide default evaluator (default_evaluator()) carries the shared
 // memo cache; bench binaries and model::sweep route through it so a run
@@ -17,12 +23,16 @@
 // reads, no writes) while obs::session() is non-null.
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "engine/cache.hpp"
 #include "engine/request.hpp"
 
 namespace rvhpc::engine {
+
+class ThreadPool;
 
 class BatchEvaluator {
  public:
@@ -37,7 +47,13 @@ class BatchEvaluator {
   BatchEvaluator();  // Options{} defaults
   explicit BatchEvaluator(Options opts);
 
+  BatchEvaluator(const BatchEvaluator&) = delete;
+  BatchEvaluator& operator=(const BatchEvaluator&) = delete;
+
   /// Evaluates every request; result[i] corresponds to set.requests()[i].
+  /// Safe to call concurrently from several threads, and from inside a
+  /// ThreadPool task.  An exception thrown by a prediction is rethrown to
+  /// this call only; the evaluator stays usable.
   [[nodiscard]] std::vector<PredictionResult> evaluate(const RequestSet& set);
 
   /// Single-point convenience sharing the same memo cache.
@@ -48,9 +64,20 @@ class BatchEvaluator {
   [[nodiscard]] int jobs() const { return jobs_; }
   [[nodiscard]] PredictionCache& cache() { return cache_; }
 
+  /// Worker threads the evaluator currently owns: 0 until the first
+  /// parallel evaluate() (and always for jobs=1), jobs - 1 after it.
+  [[nodiscard]] int pool_threads() const;
+  /// Joins the worker pool once in-flight evaluate() calls finish with
+  /// it.  The next parallel evaluate() starts a fresh one.
+  void release_pool();
+
  private:
+  std::shared_ptr<ThreadPool> pool();
+
   int jobs_;
   PredictionCache cache_;
+  mutable std::mutex pool_mu_;
+  std::shared_ptr<ThreadPool> pool_;  ///< guarded by pool_mu_; lazy
 };
 
 /// The process-wide evaluator every migrated bench/example and the
@@ -60,6 +87,8 @@ class BatchEvaluator {
 
 /// Overrides the default evaluator's pool size (the --jobs=N flag).  Takes
 /// effect immediately: the evaluator is rebuilt if already constructed.
+/// The retired evaluator stays valid for references still held, but its
+/// worker threads are released (restarted lazily if it evaluates again).
 void set_default_jobs(int jobs);
 
 /// Scans argv for `--jobs=N` and applies it via set_default_jobs().

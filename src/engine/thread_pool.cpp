@@ -110,15 +110,94 @@ void ThreadPool::wait() {
   }
 }
 
+void ThreadPool::run_bulk(Bulk& job) {
+  if (job.n == 0) return;
+  const std::size_t helpers =
+      std::min(static_cast<std::size_t>(size()), job.n - 1);
+  if (helpers > 0) {
+    {
+      std::lock_guard lock(mu_);
+      job.next_bulk = bulk_head_;
+      bulk_head_ = &job;
+    }
+    if (helpers == workers_.size()) {
+      work_cv_.notify_all();
+    } else {
+      for (std::size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
+    }
+  }
+  drain(job);  // the caller claims chunks too, so progress never waits on a wake
+  if (helpers > 0) {
+    std::unique_lock lock(mu_);
+    unlink(job);
+    // Unlinked: no helper can join any more.  Those still inside are
+    // finishing chunks they already claimed — the latch is that count.
+    job.left_cv.wait(lock, [&job] { return job.helpers == 0; });
+  }
+  if (job.failed.load(std::memory_order_acquire))
+    std::rethrow_exception(job.error);
+}
+
+void ThreadPool::drain(Bulk& job) noexcept {
+  // rvhpc: hot-path begin — chunk dispatch: one relaxed fetch_add per
+  // chunk, no allocation, no lock (rvhpc-lint S1xx guards this).
+  for (;;) {
+    const std::size_t i = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= job.n) return;
+    try {
+      job.call(job.ctx, i);
+    } catch (...) {
+      if (!job.failed.exchange(true, std::memory_order_acq_rel))
+        job.error = std::current_exception();
+      job.next.store(job.n, std::memory_order_relaxed);  // stop claims
+    }
+  }
+  // rvhpc: hot-path end
+}
+
+ThreadPool::Bulk* ThreadPool::open_bulk() {
+  Bulk** link = &bulk_head_;
+  while (Bulk* job = *link) {
+    if (job->next.load(std::memory_order_relaxed) < job->n) return job;
+    *link = job->next_bulk;  // exhausted: nothing left for helpers
+  }
+  return nullptr;
+}
+
+void ThreadPool::unlink(Bulk& job) {
+  for (Bulk** link = &bulk_head_; *link; link = &(*link)->next_bulk) {
+    if (*link == &job) {
+      *link = job.next_bulk;
+      return;
+    }
+  }
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
+    Bulk* job = nullptr;
     {
       std::unique_lock lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ with a drained queue
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      work_cv_.wait(lock, [this, &job] {
+        job = open_bulk();
+        return job != nullptr || stop_ || !queue_.empty();
+      });
+      if (job) {
+        ++job->helpers;  // the job's caller cannot return until we leave
+      } else {
+        if (queue_.empty()) return;  // stop_ with a drained queue
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      }
+    }
+    if (job) {
+      drain(*job);
+      std::lock_guard lock(mu_);
+      // Notify under mu_: once helpers hits 0 the caller may return and
+      // destroy the job, so nothing may touch it after the unlock.
+      if (--job->helpers == 0) job->left_cv.notify_one();
+      continue;
     }
     try {
       task();

@@ -1,11 +1,27 @@
 #pragma once
-// rvhpc::engine — a deliberately simple fixed-size thread pool.
+// rvhpc::engine — a fixed-size thread pool with one bulk primitive.
 //
-// predict() calls are uniform (~µs each) and batches are large, so a
-// single mutex-protected queue is plenty: work-stealing would buy nothing
-// and cost determinism-of-reasoning.  Tasks are plain std::function<void()>;
-// exceptions thrown by a task are caught, stored, and rethrown from wait()
-// on the submitting thread so batch callers see ordinary C++ error flow.
+// Two dispatch paths share the same workers:
+//
+//   * submit()/submit_future(): one std::function per task through a
+//     mutex-protected queue.  Exceptions thrown by a submit() task are
+//     caught, stored, and rethrown from wait() on the submitting thread so
+//     fire-and-forget callers see ordinary C++ error flow.
+//   * run_chunks(n, fn): a caller-joined parallel loop for batch sweeps,
+//     whose µs-scale items make a task and a condvar wake per chunk cost
+//     more than the work.  The caller publishes one stack-allocated job,
+//     wakes at most size() workers, and then claims chunks itself from the
+//     same atomic cursor the helpers use.  Completion is a per-call latch:
+//     the call returns once every chunk is finished and no helper is still
+//     inside the job, so a helper that wakes after the cursor ran out
+//     claims nothing and never touches the caller's frame.  Because the
+//     caller can always finish every chunk alone, concurrent run_chunks
+//     calls — and calls made from inside a pool task — cannot deadlock.
+//     The call rethrows its own first chunk exception to its own caller;
+//     wait()'s pool-wide error channel is never involved.
+//
+// No work stealing: predict() calls are uniform, so a shared cursor
+// balances as well and keeps the reasoning about determinism simple.
 
 #include <atomic>
 #include <condition_variable>
@@ -83,6 +99,21 @@ class ThreadPool {
   /// first exception any task raised (if one did).
   void wait();
 
+  /// Calls `fn(i)` exactly once for every i in [0, n), spread over the
+  /// calling thread and at most size() workers, and returns when all n
+  /// calls are done.  The first exception a call throws stops further
+  /// claims and is rethrown here, after every claimed chunk has finished.
+  /// Allocates nothing: the job lives on the caller's stack.
+  template <typename F>
+  void run_chunks(std::size_t n, F&& fn) {
+    using Fn = std::remove_reference_t<F>;
+    Bulk job;
+    job.n = n;
+    job.ctx = const_cast<void*>(static_cast<const void*>(std::addressof(fn)));
+    job.call = [](void* ctx, std::size_t i) { (*static_cast<Fn*>(ctx))(i); };
+    run_bulk(job);
+  }
+
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
   /// Planned domain of worker `i` under the construction hints
@@ -93,12 +124,35 @@ class ThreadPool {
   [[nodiscard]] int placed_workers() const { return placed_; }
 
  private:
+  /// One run_chunks() call.  Lives on the caller's stack and is linked
+  /// into bulk_head_ (under mu_) while helpers may still join it.
+  struct Bulk {
+    void (*call)(void*, std::size_t) = nullptr;
+    void* ctx = nullptr;
+    std::size_t n = 0;
+    /// Claim cursor, on its own cache line: every claim writes it.
+    alignas(64) std::atomic<std::size_t> next{0};
+    alignas(64) int helpers = 0;  ///< workers inside drain(); guarded by mu_
+    Bulk* next_bulk = nullptr;    ///< bulk_head_ list link; guarded by mu_
+    std::condition_variable left_cv;  ///< helpers dropped to 0
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  ///< written once, by whoever set `failed`
+  };
+
+  void run_bulk(Bulk& job);
+  static void drain(Bulk& job) noexcept;
+  /// First linked job with chunks left to claim; unlinks exhausted ones.
+  /// Caller holds mu_.
+  Bulk* open_bulk();
+  /// Removes `job` from bulk_head_ if still linked.  Caller holds mu_.
+  void unlink(Bulk& job);
   void worker_loop();
 
   std::mutex mu_;
   std::condition_variable work_cv_;   ///< signalled when a task is queued
   std::condition_variable idle_cv_;   ///< signalled when in-flight hits zero
   std::deque<std::function<void()>> queue_;
+  Bulk* bulk_head_ = nullptr;         ///< run_chunks() jobs open to helpers
   std::size_t in_flight_ = 0;         ///< queued + currently executing
   std::exception_ptr first_error_;
   bool stop_ = false;

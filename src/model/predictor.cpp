@@ -52,6 +52,15 @@ void count_predict_call(bool dnr) {
   if (dnr) dnrs.add();
 }
 
+/// predict()'s wall-clock histogram, looked up once: a by-name registry
+/// lookup per call would build a key string and take the registry lock.
+obs::Histogram* predict_timer() {
+  if (!obs::metrics_enabled()) return nullptr;
+  static obs::Histogram& wall =
+      obs::Registry::global().histogram("rvhpc_predict_wall_seconds");
+  return &wall;
+}
+
 void emit_dnr(const arch::MachineModel& m, const WorkloadSignature& sig,
               const RunConfig& cfg, const Prediction& out) {
   count_predict_call(/*dnr=*/true);
@@ -77,8 +86,11 @@ std::string to_string(Bottleneck b) {
 
 Prediction predict(const arch::MachineModel& m, const WorkloadSignature& sig,
                    const RunConfig& cfg) {
-  obs::ScopedTimer timer(obs::timer_target("rvhpc_predict_wall_seconds"));
+  // rvhpc: hot-path begin — instrumentation preamble of every prediction:
+  // no registry lookup, no allocation (rvhpc-lint S1xx guards this).
+  obs::ScopedTimer timer(predict_timer());
   obs::ScopedSpan span("model", "predict");
+  // rvhpc: hot-path end
   Prediction out;
 
   if (cfg.cores < 1 || cfg.cores > m.cores) {

@@ -5,6 +5,18 @@
 #include "obs/trace.hpp"
 
 namespace rvhpc::model {
+namespace {
+
+/// The sweep wall-clock histogram, looked up once rather than by name on
+/// every sweep.
+obs::Histogram* sweep_timer() {
+  if (!obs::metrics_enabled()) return nullptr;
+  static obs::Histogram& wall =
+      obs::Registry::global().histogram("rvhpc_sweep_wall_seconds");
+  return &wall;
+}
+
+}  // namespace
 
 std::vector<int> power_of_two_cores(int max_cores) {
   std::vector<int> v;
@@ -24,7 +36,7 @@ ScalingSeries scale_cores(arch::MachineId id, Kernel kernel, ProblemClass cls,
                           RunConfig cfg) {
   const arch::MachineModel& m = arch::machine(id);
   const WorkloadSignature sig = signature(kernel, cls);
-  obs::ScopedTimer timer(obs::timer_target("rvhpc_sweep_wall_seconds"));
+  obs::ScopedTimer timer(sweep_timer());
   obs::ScopedSpan span("sweep", "scale_cores");
 
   engine::RequestSet set;

@@ -31,72 +31,80 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   if (bounds_.empty() || !std::is_sorted(bounds_.begin(), bounds_.end())) {
     throw std::invalid_argument("Histogram: bounds must be sorted, non-empty");
   }
-  counts_.assign(bounds_.size() + 1, 0);
+  for (Shard& s : shards_) s.counts.assign(bounds_.size() + 1, 0);
 }
 
+// rvhpc: hot-path begin — every timed predict() lands here, from every
+// engine worker: one uncontended shard lock, no allocation (S1xx guards it).
 void Histogram::observe(double v) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const std::size_t bucket =
       static_cast<std::size_t>(it - bounds_.begin());  // overflow -> last
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++counts_[bucket];
-  sum_ += v;
-  if (count_ == 0 || v < min_) min_ = v;
-  if (count_ == 0 || v > max_) max_ = v;
-  ++count_;
+  Shard& s = shards_[static_cast<unsigned>(thread_id()) & (kShards - 1)];
+  std::lock_guard<std::mutex> lock(s.mutex);
+  ++s.counts[bucket];
+  s.sum += v;
+  if (s.count == 0 || v < s.min) s.min = v;
+  if (s.count == 0 || v > s.max) s.max = v;
+  ++s.count;
+}
+// rvhpc: hot-path end
+
+Histogram::Totals Histogram::merged() const {
+  Totals m;
+  m.counts.assign(bounds_.size() + 1, 0);
+  for (const Shard& s : shards_) {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    if (s.count == 0) continue;
+    for (std::size_t i = 0; i < m.counts.size(); ++i) m.counts[i] += s.counts[i];
+    if (m.count == 0 || s.min < m.min) m.min = s.min;
+    if (m.count == 0 || s.max > m.max) m.max = s.max;
+    m.sum += s.sum;
+    m.count += s.count;
+  }
+  return m;
 }
 
-std::uint64_t Histogram::count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return count_;
-}
+std::uint64_t Histogram::count() const { return merged().count; }
 
-double Histogram::sum() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return sum_;
-}
+double Histogram::sum() const { return merged().sum; }
 
-double Histogram::min() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return min_;
-}
+double Histogram::min() const { return merged().min; }
 
-double Histogram::max() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return max_;
-}
+double Histogram::max() const { return merged().max; }
 
 double Histogram::percentile(double p) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (count_ == 0) return 0.0;
+  const Totals m = merged();
+  if (m.count == 0) return 0.0;
   p = std::clamp(p, 0.0, 100.0);
-  const double target = p / 100.0 * static_cast<double>(count_);
+  const double target = p / 100.0 * static_cast<double>(m.count);
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const double lo = i == 0 ? min_ : bounds_[i - 1];
-    const double hi = i < bounds_.size() ? bounds_[i] : max_;
+  for (std::size_t i = 0; i < m.counts.size(); ++i) {
+    if (m.counts[i] == 0) continue;
+    const double lo = i == 0 ? m.min : bounds_[i - 1];
+    const double hi = i < bounds_.size() ? bounds_[i] : m.max;
     const double before = static_cast<double>(seen);
-    seen += counts_[i];
+    seen += m.counts[i];
     if (static_cast<double>(seen) >= target) {
-      const double frac =
-          std::clamp((target - before) / static_cast<double>(counts_[i]), 0.0, 1.0);
-      return std::clamp(lo + frac * (hi - lo), min_, max_);
+      const double frac = std::clamp(
+          (target - before) / static_cast<double>(m.counts[i]), 0.0, 1.0);
+      return std::clamp(lo + frac * (hi - lo), m.min, m.max);
     }
   }
-  return max_;
+  return m.max;
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counts_;
+  return merged().counts;
 }
 
 void Histogram::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
+  for (Shard& s : shards_) {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    std::fill(s.counts.begin(), s.counts.end(), 0);
+    s.count = 0;
+    s.sum = s.min = s.max = 0.0;
+  }
 }
 
 std::vector<double> default_time_bounds() {

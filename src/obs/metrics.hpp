@@ -72,6 +72,15 @@ class Gauge {
 /// in the first bucket whose upper bound is >= the value; percentiles
 /// interpolate linearly inside the containing bucket, clamped to the
 /// observed min/max so exact-percentile tests are meaningful.
+///
+/// Sharded per thread like Counter: observe() locks one of 16
+/// cache-line-padded shards selected by the dense thread id, so engine
+/// workers timing their own predict() calls never wait on each other (a
+/// shard lock is only shared by threads whose ids collide mod 16).
+/// Readers merge the shards: counts and count add, min/max combine, and
+/// sum adds shard sums in shard order — for observations from a single
+/// thread that is exactly the sequential sum, so rendered output matches
+/// an unsharded histogram byte for byte.
 class Histogram {
  public:
   /// `bounds` are strictly increasing bucket upper edges; an implicit
@@ -91,13 +100,22 @@ class Histogram {
   void reset();
 
  private:
+  static constexpr unsigned kShards = 16;
+  struct Totals {
+    std::vector<std::uint64_t> counts;  ///< bounds_.size() + 1 buckets
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+  };
+  struct alignas(64) Shard : Totals {
+    mutable std::mutex mutex;
+  };
+  /// Every shard folded into one (the reader side).
+  [[nodiscard]] Totals merged() const;
+
   std::vector<double> bounds_;
-  mutable std::mutex mutex_;
-  std::vector<std::uint64_t> counts_;  ///< bounds_.size() + 1 buckets
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  Shard shards_[kShards];
 };
 
 /// Log-spaced timer bounds, 1 us .. ~100 s — the default for wall-clock

@@ -636,6 +636,28 @@ TEST(SourceRules, HotPathTemporaryKeysAreS104) {
   EXPECT_EQ(r.by_rule("S104").size(), 2u) << r.format();
 }
 
+TEST(SourceRules, HotPathRegistryLookupsByNameAreS104) {
+  const std::string src =
+      "obs::Histogram* cached() {\n"
+      "  if (!obs::metrics_enabled()) return nullptr;\n"
+      "  // rvhpc: hot-path begin\n"
+      "  static obs::Histogram& h =\n"
+      "      obs::Registry::global().histogram(\"once_seconds\");  // fine\n"
+      "  return &h;\n"
+      "}\n"
+      "void predict() {\n"
+      "  obs::ScopedTimer t(obs::timer_target(\"wall_seconds\"));\n"
+      "  obs::Registry::global().counter(\"calls_total\").add();\n"
+      "  obs::ScopedTimer c(cached());  // fine\n"
+      "  // rvhpc: hot-path end\n"
+      "  obs::Registry::global().gauge(\"cold\").set(1);  // cold: fine\n"
+      "}\n";
+  const Report r = lint_source(src, "registry.cpp");
+  ASSERT_EQ(r.by_rule("S104").size(), 2u) << r.format();
+  EXPECT_EQ(r.by_rule("S104")[0].field, "timer_target");
+  EXPECT_EQ(r.by_rule("S104")[1].field, "counter");
+}
+
 TEST(SourceRules, S002NeedsConcurrencyEvidence) {
   // The same flag pattern without any thread/signal machinery in the file
   // is a single-threaded counter, not a race.

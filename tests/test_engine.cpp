@@ -4,8 +4,12 @@
 // 2 or 8 workers must produce bit-identical predictions in request order.
 // Everything else (memoisation, counters, the --jobs flag) layers on top.
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -64,6 +68,41 @@ engine::RequestSet mixed_set() {
                       model::ProblemClass::C, 64, "ft64");
   return set;
 }
+
+/// Bit-exact comparison of a whole batch against its jobs=1 reference.
+void expect_same_batch(const std::vector<engine::PredictionResult>& out,
+                       const std::vector<engine::PredictionResult>& base) {
+  ASSERT_EQ(out.size(), base.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].index, i);
+    EXPECT_EQ(out[i].tag, base[i].tag);
+    expect_identical(out[i].prediction, base[i].prediction);
+  }
+}
+
+#ifdef __linux__
+/// Live threads of this process: one /proc/self/task entry each.
+int live_threads() {
+  int n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+/// live_threads() once it equals `want`, or after 5 s: a joined thread can
+/// linger in /proc for a moment after pthread_join returns.
+int settled_threads(int want) {
+  int n = live_threads();
+  for (int i = 0; i < 500 && n != want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    n = live_threads();
+  }
+  return n;
+}
+#endif
 
 engine::BatchEvaluator make(int jobs, std::size_t cache_capacity) {
   engine::BatchEvaluator::Options opts;
@@ -149,14 +188,112 @@ TEST(BatchEvaluator, DeterministicAcrossPoolSizes) {
   ASSERT_EQ(base.size(), set.size());
   for (int jobs : {2, 8}) {
     auto pooled = make(jobs, 0);
-    const auto out = pooled.evaluate(set);
-    ASSERT_EQ(out.size(), base.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(out[i].index, i);
-      EXPECT_EQ(out[i].tag, base[i].tag);
-      expect_identical(out[i].prediction, base[i].prediction);
-    }
+    expect_same_batch(pooled.evaluate(set), base);
   }
+}
+
+TEST(BatchEvaluator, ConcurrentCallersAreBitIdenticalToSerial) {
+  const engine::RequestSet set = mixed_set();
+  const auto base = make(1, 0).evaluate(set);
+  auto pooled = make(4, 0);
+  constexpr int kRounds = 10;
+  std::vector<std::vector<engine::PredictionResult>> a(kRounds), b(kRounds);
+  std::thread ta([&] {
+    for (auto& out : a) out = pooled.evaluate(set);
+  });
+  std::thread tb([&] {
+    for (auto& out : b) out = pooled.evaluate(set);
+  });
+  ta.join();
+  tb.join();
+  for (int r = 0; r < kRounds; ++r) {
+    expect_same_batch(a[r], base);
+    expect_same_batch(b[r], base);
+  }
+  EXPECT_EQ(pooled.pool_threads(), 3);  // one pool, shared by both callers
+}
+
+TEST(BatchEvaluator, EvaluateFromInsidePoolTaskCompletes) {
+  const engine::RequestSet set = mixed_set();
+  const auto base = make(1, 0).evaluate(set);
+  auto pooled = make(3, 0);
+  // The outer pool's only worker blocks in evaluate(); the evaluator's own
+  // helpers and the calling worker must finish the batch between them.
+  engine::ThreadPool outer(1);
+  std::future<std::vector<engine::PredictionResult>> nested =
+      outer.submit_future([&] { return pooled.evaluate(set); });
+  ASSERT_EQ(nested.wait_for(std::chrono::seconds(60)),
+            std::future_status::ready);
+  expect_same_batch(nested.get(), base);
+
+  // Every worker of a pool running a chunk that itself calls run_chunks()
+  // on the same pool: the callers finish their inner loops themselves.
+  engine::ThreadPool pool(2);
+  std::atomic<int> inner{0};
+  pool.run_chunks(6, [&](std::size_t) {
+    pool.run_chunks(8, [&](std::size_t) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(inner.load(), 48);
+}
+
+TEST(BatchEvaluator, ThrowingRequestRethrowsFromItsOwnCallOnly) {
+  const engine::RequestSet good = mixed_set();
+  const auto base = make(1, 0).evaluate(good);
+
+  // memsim rejects a cache line that is not a power of two, so the
+  // interval backend throws on this machine.
+  arch::MachineModel broken = arch::machine(arch::MachineId::Sg2044);
+  broken.caches.at(0).line_bytes = 48;
+  engine::RequestSet bad = mixed_set();
+  bad.add(engine::PredictionRequest(
+      broken, model::signature(model::Kernel::MG, model::ProblemClass::S),
+      model::paper_run_config(broken, model::Kernel::MG, 4), "broken",
+      engine::Backend::Interval));
+
+  auto pooled = make(4, 0);
+  std::vector<engine::PredictionResult> concurrent;
+  std::thread other([&] {
+    for (int i = 0; i < 5; ++i) concurrent = pooled.evaluate(good);
+  });
+  EXPECT_THROW((void)pooled.evaluate(bad), std::invalid_argument);
+  other.join();
+  expect_same_batch(concurrent, base);
+  // The evaluator, its pool and wait()'s channel are all left clean.
+  expect_same_batch(pooled.evaluate(good), base);
+  EXPECT_THROW((void)pooled.evaluate(bad), std::invalid_argument);
+  expect_same_batch(pooled.evaluate(good), base);
+}
+
+TEST(BatchEvaluator, SerialAndIdleEvaluatorsStartNoThreads) {
+  const engine::RequestSet set = mixed_set();
+#ifdef __linux__
+  // Runtime helpers (a sanitizer's background thread) start with the
+  // process's first extra thread; start one first so `before` counts them.
+  std::thread([] {}).join();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const int before = live_threads();
+#endif
+  auto idle = make(4, 0);
+  auto serial = make(1, 0);
+  (void)serial.evaluate(set);
+  EXPECT_EQ(idle.pool_threads(), 0);
+  EXPECT_EQ(serial.pool_threads(), 0);
+#ifdef __linux__
+  EXPECT_EQ(live_threads(), before);
+#endif
+
+  // The pool starts on the first parallel evaluate() and is released on
+  // demand; the caller is the fourth participant.
+  (void)idle.evaluate(set);
+  EXPECT_EQ(idle.pool_threads(), 3);
+#ifdef __linux__
+  EXPECT_EQ(live_threads(), before + 3);
+#endif
+  idle.release_pool();
+  EXPECT_EQ(idle.pool_threads(), 0);
+#ifdef __linux__
+  EXPECT_EQ(settled_threads(before), before);
+#endif
 }
 
 TEST(BatchEvaluator, SecondPassServedFromCache) {
@@ -320,6 +457,26 @@ TEST(ThreadPool, SubmitFutureDeliversValueAndOwnsItsException) {
   EXPECT_NO_THROW(pool.wait());
 }
 
+TEST(ThreadPool, RunChunksRunsEveryChunkOnceAndOwnsItsException) {
+  engine::ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.run_chunks(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+
+  EXPECT_THROW(pool.run_chunks(100,
+                               [](std::size_t i) {
+                                 if (i == 37) throw std::runtime_error("chunk");
+                               }),
+               std::runtime_error);
+  // The error belongs to that call: wait()'s submit() channel is clean and
+  // the pool keeps working.
+  EXPECT_NO_THROW(pool.wait());
+  std::atomic<int> total{0};
+  pool.run_chunks(10, [&](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 10);
+  pool.run_chunks(0, [](std::size_t) { FAIL() << "no chunk to run"; });
+}
+
 TEST(ApplyJobsFlag, ParsesValidAndRejectsMalformed) {
   const char* good[] = {"prog", "--table=3", "--jobs=3"};
   EXPECT_EQ(engine::apply_jobs_flag(3, const_cast<char**>(good)), 3);
@@ -342,6 +499,36 @@ TEST(ApplyJobsFlag, ParsesValidAndRejectsMalformed) {
   const char* trailing[] = {"prog", "--jobs=4x"};
   EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(trailing)), 0);
 
+  engine::set_default_jobs(engine::default_jobs());  // restore for later tests
+}
+
+TEST(DefaultEvaluator, RetiredEvaluatorsReleaseTheirThreads) {
+  const engine::RequestSet set = mixed_set();
+  const auto base = make(1, 0).evaluate(set);
+  engine::set_default_jobs(2);
+  (void)engine::default_evaluator().evaluate(set);
+  engine::BatchEvaluator& held = engine::default_evaluator();
+  ASSERT_EQ(held.pool_threads(), 1);
+#ifdef __linux__
+  const int before = live_threads();
+#endif
+
+  // Each --jobs swap retires the previous default evaluator; only the
+  // current one (jobs=2 again at the end) may keep workers.
+  for (int jobs : {3, 4, 3, 2}) {
+    engine::set_default_jobs(jobs);
+    (void)engine::default_evaluator().evaluate(set);
+  }
+  EXPECT_EQ(held.pool_threads(), 0);
+  EXPECT_EQ(engine::default_evaluator().pool_threads(), 1);
+#ifdef __linux__
+  EXPECT_EQ(settled_threads(before), before);
+#endif
+
+  // A reference held across the swap still evaluates, restarting lazily.
+  expect_same_batch(held.evaluate(set), base);
+  EXPECT_EQ(held.pool_threads(), 1);
+  held.release_pool();
   engine::set_default_jobs(engine::default_jobs());  // restore for later tests
 }
 

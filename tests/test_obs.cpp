@@ -10,6 +10,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -285,6 +287,116 @@ TEST(ObsMetrics, ResetZeroesButKeepsReferencesValid) {
   EXPECT_EQ(c.value(), 0u);
   c.add(1);
   EXPECT_EQ(obs::Registry::global().counter("test_counter_total").value(), 1u);
+}
+
+// --- sharded histogram -----------------------------------------------------
+
+namespace {
+
+/// Dyadic values (k * 2^-20 s) spread over ~4 decades of the default timer
+/// buckets plus the overflow bucket: every partial sum is exact, so the
+/// merged sum may not depend on which thread observed which value.
+std::vector<double> spread_values() {
+  std::vector<double> v;
+  for (int k = 1; k <= 4000; ++k) v.push_back(std::ldexp(k, -20));
+  v.push_back(256.0);
+  v.push_back(512.0);
+  return v;
+}
+
+void expect_same_histogram(const obs::Histogram& a, const obs::Histogram& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.bucket_counts(), b.bucket_counts());
+  for (double p : {0.0, 1.0, 10.0, 50.0, 90.0, 99.0, 99.9, 100.0})
+    EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+}
+
+}  // namespace
+
+TEST(ObsMetrics, ShardedHistogramMergesToTheSingleThreadResult) {
+  const std::vector<double> values = spread_values();
+  obs::Histogram one(obs::default_time_bounds());
+  for (double v : values) one.observe(v);
+
+  obs::Histogram four(obs::default_time_bounds());
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&four, &values, t] {
+      for (std::size_t i = t; i < values.size(); i += kThreads)
+        four.observe(values[i]);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(four.count(), values.size());
+  expect_same_histogram(four, one);
+}
+
+TEST(ObsMetrics, HistogramResetClearsEveryShard) {
+  obs::Histogram h(obs::default_time_bounds());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&h, t] {
+      for (int i = 0; i < 100; ++i) h.observe(1e-3 * (t + 1));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  ASSERT_EQ(h.count(), 400u);
+
+  h.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0.0);
+  EXPECT_EQ(h.percentile(50), 0.0);
+  for (std::uint64_t c : h.bucket_counts()) EXPECT_EQ(c, 0u);
+  // No stale extreme from another thread's shard may survive the reset.
+  h.observe(0.5);
+  EXPECT_EQ(h.min(), 0.5);
+  EXPECT_EQ(h.max(), 0.5);
+  EXPECT_EQ(h.count(), 1u);
+}
+
+TEST(ObsMetrics, RenderedHistogramsKeepTheirGoldenBytes) {
+  // Golden output of the unsharded (single-mutex) histogram for the same
+  // single-thread sequence: sharding must not change a rendered byte.
+  obs::Registry r;
+  obs::Histogram& h =
+      r.histogram("rvhpc_test_seconds", "golden sequence", {1.0, 2.0, 4.0});
+  for (double v : {0.5, 1.5, 3.0, 3.5, 10.0, 0.25, 0.1, 0.7, 2.2}) h.observe(v);
+  r.counter("rvhpc_test_total", "a counter").add(3);
+  r.gauge("rvhpc_test_gauge").set(0.1);
+  (void)r.histogram("rvhpc_test_empty_seconds");
+
+  EXPECT_EQ(r.render_text(),
+            "rvhpc_test_empty_seconds_count 0\n"
+            "rvhpc_test_empty_seconds_sum 0\n"
+            "rvhpc_test_gauge 0.1\n"
+            "# HELP rvhpc_test_seconds golden sequence\n"
+            "rvhpc_test_seconds_count 9\n"
+            "rvhpc_test_seconds_sum 21.75\n"
+            "rvhpc_test_seconds_min 0.1\n"
+            "rvhpc_test_seconds_max 10\n"
+            "rvhpc_test_seconds_p50 1.5\n"
+            "rvhpc_test_seconds_p90 4.6\n"
+            "rvhpc_test_seconds_p99 9.46\n"
+            "# HELP rvhpc_test_total a counter\n"
+            "rvhpc_test_total 3\n");
+  EXPECT_EQ(r.render_json(),
+            "{\n"
+            "  \"rvhpc_test_empty_seconds\": {\"help\": \"\", \"type\": "
+            "\"histogram\", \"count\": 0, \"sum\": 0},\n"
+            "  \"rvhpc_test_gauge\": {\"help\": \"\", \"type\": \"gauge\", "
+            "\"value\": 0.10000000000000001},\n"
+            "  \"rvhpc_test_seconds\": {\"help\": \"golden sequence\", "
+            "\"type\": \"histogram\", \"count\": 9, \"sum\": 21.75, "
+            "\"min\": 0.10000000000000001, \"max\": 10, \"p50\": 1.5, "
+            "\"p90\": 4.5999999999999979, \"p99\": 9.4600000000000009},\n"
+            "  \"rvhpc_test_total\": {\"help\": \"a counter\", \"type\": "
+            "\"counter\", \"value\": 3}\n"
+            "}\n");
 }
 
 // --- memsim emission -------------------------------------------------------
