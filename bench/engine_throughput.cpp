@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "engine/batch.hpp"
 #include "engine/request.hpp"
 #include "model/sweep.hpp"
@@ -31,18 +32,6 @@ using namespace rvhpc;
 using Clock = std::chrono::steady_clock;
 
 namespace {
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
@@ -152,7 +141,7 @@ int main(int argc, char** argv) {
   std::cout << "\n" << t.render() << "\nhardware threads: " << hw << "\n";
 
   if (!gate) return 0;
-  if (kSanitized) {
+  if (cli::kSanitized) {
     std::cout << "gate: sanitized build — determinism checked, speedup "
                  "threshold skipped\n";
     return 0;

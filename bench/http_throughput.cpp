@@ -22,12 +22,6 @@
 //   --gate       exit non-zero when a gate fails (the ctest entry)
 //   --out=FILE   JSON artifact to extend (default: BENCH_serve.json)
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cstring>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -36,7 +30,9 @@
 #include <thread>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "http/parser.hpp"
+#include "net/loopback.hpp"
 #include "net/net.hpp"
 #include "obs/metrics.hpp"
 #include "report/table.hpp"
@@ -47,96 +43,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-/// Service + Server (both listeners) on ephemeral loopback ports, event
-/// loop on a background thread.  Mirrors serve_throughput's BenchServer.
-struct BenchServer {
-  serve::Service service;
-  net::Server server;
-  std::ostringstream log;
-  std::thread loop;
-
-  BenchServer(serve::Service::Options sopts, net::ServerOptions nopts)
-      : service(std::move(sopts)), server(service, nopts) {
-    server.open(log);
-    loop = std::thread([this] { server.run(log); });
-  }
-
-  ~BenchServer() {
-    server.stop();
-    if (loop.joinable()) loop.join();
-  }
-};
-
-/// Blocking loopback client with a receive timeout so a regression fails
-/// instead of hanging the bench.
-struct Client {
-  int fd = -1;
-  std::string buffered;
-
-  explicit Client(std::uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return;
-    timeval tv{30, 0};
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  [[nodiscard]] bool connected() const { return fd >= 0; }
-
-  bool send_all(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n =
-          ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// One response line (without '\n'); empty on EOF/timeout.
-  std::string recv_line() {
-    while (true) {
-      const std::size_t nl = buffered.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffered.substr(0, nl);
-        buffered.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[8192];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffered.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-};
+/// Client receive timeout: a regression fails the bench instead of
+/// hanging it.
+constexpr std::chrono::seconds kRecvTimeout{30};
 
 /// A cheap analytic request; cycling a small core grid keeps every send
 /// after the warm-up a pure cache hit.
@@ -160,7 +69,7 @@ std::string http_post(const std::string& body) {
 /// Pre-warm the MG core grid over the raw wire so every measured request
 /// — HTTP or raw — is a pure hit.
 bool warm_cache(std::uint16_t raw_port) {
-  Client warm(raw_port);
+  net::LoopbackClient warm(raw_port, kRecvTimeout);
   if (!warm.connected()) return false;
   for (int i = 0; i < 7; ++i) {
     if (!warm.send_all(cached_request("warm-" + std::to_string(i), 1 << i)))
@@ -183,7 +92,7 @@ struct WireResult {
 /// responses parsed back to back with one ResponseParser, reset between.
 WireResult run_http_hits(std::uint16_t http_port, int hits) {
   WireResult r;
-  Client cl(http_port);
+  net::LoopbackClient cl(http_port, kRecvTimeout);
   if (!cl.connected()) return r;
 
   std::string batch;
@@ -192,25 +101,13 @@ WireResult run_http_hits(std::uint16_t http_port, int hits) {
   }
 
   http::ResponseParser rp;
-  std::string buf;
   const auto t0 = Clock::now();
   if (!cl.send_all(batch)) return r;
   while (r.responses < static_cast<std::size_t>(hits)) {
-    if (!buf.empty()) {
-      const std::size_t used = rp.feed(buf);
-      buf.erase(0, used);
-      if (rp.failed()) return r;
-      if (rp.complete()) {
-        if (rp.status() != 200) ++r.bad_status;
-        ++r.responses;
-        rp.reset();
-        continue;
-      }
-    }
-    char chunk[8192];
-    const ssize_t n = ::recv(cl.fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return r;
-    buf.append(chunk, static_cast<std::size_t>(n));
+    rp.reset();
+    if (!cl.recv_response(rp)) return r;
+    if (rp.status() != 200) ++r.bad_status;
+    ++r.responses;
   }
   r.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
   r.ok = r.bad_status == 0;
@@ -220,7 +117,7 @@ WireResult run_http_hits(std::uint16_t http_port, int hits) {
 /// The same `hits` cached requests pipelined as raw JSON lines.
 WireResult run_raw_hits(std::uint16_t raw_port, int hits) {
   WireResult r;
-  Client cl(raw_port);
+  net::LoopbackClient cl(raw_port, kRecvTimeout);
   if (!cl.connected()) return r;
 
   std::string batch;
@@ -284,7 +181,7 @@ struct BatchResult {
 /// as a single chunked response with one line per request.
 BatchResult run_batch(std::uint16_t http_port, int items) {
   BatchResult r;
-  Client cl(http_port);
+  net::LoopbackClient cl(http_port, kRecvTimeout);
   if (!cl.connected()) return r;
 
   std::string body;
@@ -293,21 +190,9 @@ BatchResult run_batch(std::uint16_t http_port, int items) {
   }
 
   http::ResponseParser rp;
-  std::string buf;
   const auto t0 = Clock::now();
   if (!cl.send_all(http_post(body))) return r;
-  while (!rp.complete()) {
-    if (!buf.empty()) {
-      const std::size_t used = rp.feed(buf);
-      buf.erase(0, used);
-      if (rp.failed()) return r;
-      if (rp.complete()) break;
-    }
-    char chunk[8192];
-    const ssize_t n = ::recv(cl.fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return r;
-    buf.append(chunk, static_cast<std::size_t>(n));
-  }
+  if (!cl.recv_response(rp)) return r;
   r.ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   r.chunked = rp.chunked();
   for (char ch : rp.body()) {
@@ -373,7 +258,7 @@ int main(int argc, char** argv) {
   net::ServerOptions nopts;
   nopts.shards = 2;
   nopts.http = true;
-  BenchServer s(sopts, nopts);
+  net::LoopbackServer s(nopts, sopts);
 
   if (!warm_cache(s.server.port())) {
     std::cerr << "FAIL: cache warm-up lost a connection or a response\n";
@@ -453,7 +338,7 @@ int main(int argc, char** argv) {
       // No serve_throughput artifact to extend — standalone document.
       spliced = "{\n  \"bench\": \"http_throughput\",\n  \"hardware_threads\": " +
                 std::to_string(hw) + ",\n  \"sanitized\": " +
-                (kSanitized ? "true" : "false") + ",\n  \"http\": {\n" +
+                (cli::kSanitized ? "true" : "false") + ",\n  \"http\": {\n" +
                 sec.str() + "  }\n}\n";
     }
     std::ofstream out(out_path, std::ios::binary);
@@ -466,7 +351,7 @@ int main(int argc, char** argv) {
   }
 
   if (!gate) return 0;
-  if (kSanitized) {
+  if (cli::kSanitized) {
     std::cout << "gate: sanitized build — correctness checked, overhead "
                  "threshold skipped\n";
     return 0;

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "arch/registry.hpp"
+#include "cli/cli.hpp"
 #include "model/sweep.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -40,19 +41,7 @@ using Clock = std::chrono::steady_clock;
 // arithmetic-heavy predict() body, so the production 5% budget is not
 // meaningful under ASan/TSan instrumented builds — keep the gate as a
 // smoke check there with a wider budget.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-constexpr double kBudgetPct = kSanitized ? 20.0 : 5.0;
+constexpr double kBudgetPct = cli::kSanitized ? 20.0 : 5.0;
 
 /// Keeps `v` alive past the optimiser without writing it anywhere.
 template <typename T>
@@ -133,7 +122,7 @@ int main(int argc, char** argv) {
             << "events recorded while active: " << events << "\n"
             << "gate: null-sink path must stay under "
             << report::fmt(kBudgetPct, 0) << "% of predict()"
-            << (kSanitized ? " (sanitized build)" : "") << " — "
+            << (cli::kSanitized ? " (sanitized build)" : "") << " — "
             << report::fmt(overhead_pct, 2) << "%\n";
 
   if (overhead_pct > kBudgetPct) {

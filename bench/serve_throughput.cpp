@@ -22,15 +22,9 @@
 //   --gate       exit non-zero when a gate fails (the ctest entry)
 //   --out=FILE   where to write the JSON (default: BENCH_serve.json)
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -38,6 +32,8 @@
 #include <thread>
 #include <vector>
 
+#include "cli/cli.hpp"
+#include "net/loopback.hpp"
 #include "net/net.hpp"
 #include "obs/metrics.hpp"
 #include "report/table.hpp"
@@ -48,96 +44,9 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-/// Service + Server on an ephemeral loopback port, event loop on a
-/// background thread.  Mirrors the tests' LoopbackServer.
-struct BenchServer {
-  serve::Service service;
-  net::Server server;
-  std::ostringstream log;
-  std::thread loop;
-
-  BenchServer(serve::Service::Options sopts, net::ServerOptions nopts)
-      : service(std::move(sopts)), server(service, nopts) {
-    server.open(log);
-    loop = std::thread([this] { server.run(log); });
-  }
-
-  ~BenchServer() {
-    server.stop();
-    if (loop.joinable()) loop.join();
-  }
-};
-
-/// Blocking loopback client with a receive timeout so a regression fails
-/// instead of hanging the bench.
-struct Client {
-  int fd = -1;
-  std::string buffered;
-
-  explicit Client(std::uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return;
-    timeval tv{30, 0};
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  [[nodiscard]] bool connected() const { return fd >= 0; }
-
-  bool send_all(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n =
-          ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// One response line (without '\n'); empty on EOF/timeout.
-  std::string recv_line() {
-    while (true) {
-      const std::size_t nl = buffered.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffered.substr(0, nl);
-        buffered.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffered.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-};
+/// Client receive timeout: a regression fails the bench instead of
+/// hanging it.
+constexpr std::chrono::seconds kRecvTimeout{30};
 
 /// A slow request: the interval backend walks the whole simulated
 /// timeline, so CG class C costs ~2 ms of compute per call — three
@@ -178,11 +87,11 @@ OrderingResult run_ordering_phase() {
   sopts.jobs = 2;
   net::ServerOptions nopts;
   nopts.shards = 2;
-  BenchServer s(sopts, nopts);
+  net::LoopbackServer s(nopts, sopts);
 
   // Warm the cache so every request conn B sends is a hit.
   {
-    Client warm(s.server.port());
+    net::LoopbackClient warm(s.server.port(), kRecvTimeout);
     if (!warm.connected()) return r;
     for (int i = 0; i < 7; ++i) {
       if (!warm.send_all(cached_request("warm-" + std::to_string(i), 1 << i)))
@@ -193,8 +102,8 @@ OrderingResult run_ordering_phase() {
     }
   }
 
-  Client slow_conn(s.server.port());
-  Client hit_conn(s.server.port());
+  net::LoopbackClient slow_conn(s.server.port(), kRecvTimeout);
+  net::LoopbackClient hit_conn(s.server.port(), kRecvTimeout);
   if (!slow_conn.connected() || !hit_conn.connected()) return r;
 
   std::string slow_batch;
@@ -250,14 +159,14 @@ double timed_run_seconds(std::size_t shards, int jobs) {
   sopts.jobs = jobs;
   net::ServerOptions nopts;
   nopts.shards = shards;
-  BenchServer s(sopts, nopts);
+  net::LoopbackServer s(nopts, sopts);
 
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};
   const auto t0 = Clock::now();
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      Client cl(s.server.port());
+      net::LoopbackClient cl(s.server.port(), kRecvTimeout);
       if (!cl.connected()) {
         ++failures;
         return;
@@ -383,7 +292,7 @@ int main(int argc, char** argv) {
         << "  \"shards\": 2,\n"
         << "  \"jobs\": 4,\n"
         << "  \"hardware_threads\": " << hw << ",\n"
-        << "  \"sanitized\": " << (kSanitized ? "true" : "false") << ",\n"
+        << "  \"sanitized\": " << (cli::kSanitized ? "true" : "false") << ",\n"
         << "  \"ordering\": {\n"
         << "    \"cached_responses\": " << ord.cached << ",\n"
         << "    \"slow_responses\": " << ord.slow << ",\n"
@@ -414,7 +323,7 @@ int main(int argc, char** argv) {
   }
 
   if (!gate) return 0;
-  if (kSanitized) {
+  if (cli::kSanitized) {
     std::cout << "gate: sanitized build — ordering checked, speedup "
                  "threshold skipped\n";
     return 0;

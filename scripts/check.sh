@@ -13,7 +13,9 @@
 # and warm through rvhpc-serve (bit-identical outputs, >= 90% warm cache
 # hits) plus the rvhpc-serve --gate, serves the same fixture over loopback
 # TCP with --shards=2 to two concurrent rvhpc-clients (merged responses
-# byte-identical to the stdio replay, graceful SIGTERM drain), serves it
+# byte-identical to the stdio replay, graceful SIGTERM drain), pipes it
+# through the live stdio connection (sorted output byte-identical to the
+# replay; `| head -n 1` still drains and writes the cache), serves it
 # again over HTTP/1.1 (curl batch POST + rvhpc-client --http, /metrics
 # and /healthz probed, graceful drain), then re-runs the threaded
 # tests under TSan to catch data races in the thread pool and the net
@@ -177,6 +179,32 @@ cmp "$serve_tmp/tcp_merged.jsonl" "$serve_tmp/stdio_sorted.jsonl"
 grep -q "net: drained" "$serve_tmp/net.log"
 echo "-- $(wc -l < "$serve_tmp/tcp_merged.jsonl") responses over TCP," \
   "byte-identical to the stdio replay; drain was graceful"
+
+echo "== rvhpc-serve --listen=stdio: live stdio matches the stdio replay"
+# Stdio is one more connection on the same shard loop as TCP and HTTP:
+# the fixture piped through it must sort byte-identical to the replay,
+# and a reader that leaves after one line (`| head -n 1`) must still get
+# a graceful drain — exit 0, the cache file written, "net: drained"
+# logged — instead of a SIGPIPE death.
+"$serve" --listen=stdio --no-live-fields < "$fixture" 2> /dev/null \
+  | LC_ALL=C sort > "$serve_tmp/stdio_live.jsonl"
+cmp "$serve_tmp/stdio_live.jsonl" "$serve_tmp/stdio_sorted.jsonl"
+# 200 copies of the fixture: more output than a pipe holds, so the
+# server is still writing when head leaves.
+for _ in $(seq 1 200); do cat "$fixture"; done > "$serve_tmp/many.jsonl"
+set +o pipefail
+"$serve" --listen=stdio --cache-file="$serve_tmp/head.cache" \
+  < "$serve_tmp/many.jsonl" 2> "$serve_tmp/head.log" | head -n 1 > /dev/null
+head_status="${PIPESTATUS[0]}"
+set -o pipefail
+if [ "$head_status" -ne 0 ]; then
+  echo "error: rvhpc-serve --listen=stdio | head -n 1 exited $head_status" >&2
+  exit 1
+fi
+[ -s "$serve_tmp/head.cache" ]
+grep -q "net: drained" "$serve_tmp/head.log"
+echo "-- $(wc -l < "$serve_tmp/stdio_live.jsonl") responses over live stdio," \
+  "byte-identical to the replay; | head -n 1 drained gracefully"
 
 echo "== rvhpc-serve --http: curl-able predictions match the stdio replay"
 # The HTTP front-end gate: serve the same fixture over HTTP/1.1 — a

@@ -1,9 +1,12 @@
 #include "cli/cli.hpp"
 
+#include <cstdlib>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "engine/batch.hpp"
+#include "engine/thread_pool.hpp"
 
 #ifndef RVHPC_VERSION
 #define RVHPC_VERSION "0.0.0"
@@ -60,7 +63,25 @@ std::string jobs_flag_help() {
 }
 
 int apply_jobs_flag(int argc, char** argv) {
-  return engine::apply_jobs_flag(argc, argv);
+  constexpr std::string_view kFlag = "--jobs=";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.rfind(kFlag, 0) != 0) continue;
+    char* end = nullptr;
+    const std::string value(arg.substr(kFlag.size()));
+    const long jobs = std::strtol(value.c_str(), &end, 10);
+    if (end == nullptr || *end != '\0' || value.empty()) continue;
+    if (jobs == 0) {
+      const int every = engine::hardware_jobs();
+      engine::set_default_jobs(every);
+      return every;
+    }
+    if (jobs > 0 && jobs <= 4096) {
+      engine::set_default_jobs(static_cast<int>(jobs));
+      return static_cast<int>(jobs);
+    }
+  }
+  return 0;
 }
 
 }  // namespace rvhpc::cli

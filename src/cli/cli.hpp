@@ -11,6 +11,20 @@
 
 namespace rvhpc::cli {
 
+/// True in ASan/TSan builds.  Wall-clock gates (speedup bars, overhead
+/// ratios) skip their thresholds there: instrumentation distorts timing.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+inline constexpr bool kSanitized = true;
+#else
+inline constexpr bool kSanitized = false;
+#endif
+#else
+inline constexpr bool kSanitized = false;
+#endif
+
 /// Static identity of one CLI tool.
 struct ToolInfo {
   std::string name;      ///< "rvhpc-profile"
@@ -46,10 +60,10 @@ void print_help(std::ostream& os, const ToolInfo& tool);
 [[nodiscard]] bool parse_size(const std::string& text, std::size_t& out);
 
 /// Scans argv for `--jobs=N` and sizes the engine's default evaluator
-/// pool: N > 0 uses exactly N workers, N == 0 uses every hardware thread
-/// (std::thread::hardware_concurrency) — the same semantics on every
-/// binary.  Returns the effective worker count applied, 0 when the flag is
-/// absent or malformed.  Other arguments are left untouched.
+/// pool (engine::set_default_jobs): N > 0 uses exactly N workers, N == 0
+/// uses every hardware thread (engine::hardware_jobs) — the same semantics
+/// on every binary.  Returns the effective worker count applied, 0 when
+/// the flag is absent or malformed.  Other arguments are left untouched.
 int apply_jobs_flag(int argc, char** argv);
 
 }  // namespace rvhpc::cli

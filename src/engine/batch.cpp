@@ -1,12 +1,8 @@
 #include "engine/batch.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <string_view>
-#include <thread>
 
 #include "engine/backend.hpp"
 #include "engine/thread_pool.hpp"
@@ -162,31 +158,6 @@ void set_default_jobs(int jobs) {
     opts.jobs = jobs;
     g_default_evaluator = new BatchEvaluator(opts);
   }
-}
-
-int apply_jobs_flag(int argc, char** argv) {
-  constexpr std::string_view kFlag = "--jobs=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg.rfind(kFlag, 0) != 0) continue;
-    char* end = nullptr;
-    const std::string value(arg.substr(kFlag.size()));
-    const long jobs = std::strtol(value.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || value.empty()) continue;
-    if (jobs == 0) {
-      // --jobs=0 = "every hardware thread", uniformly across binaries
-      // (previously each binary silently ignored it).
-      const unsigned hw = std::thread::hardware_concurrency();
-      const int effective = hw > 0 ? static_cast<int>(hw) : 1;
-      set_default_jobs(effective);
-      return effective;
-    }
-    if (jobs > 0 && jobs <= 4096) {
-      set_default_jobs(static_cast<int>(jobs));
-      return static_cast<int>(jobs);
-    }
-  }
-  return 0;
 }
 
 }  // namespace rvhpc::engine

@@ -85,19 +85,11 @@ class BatchEvaluator {
 /// set_default_jobs()'s value if one was set, else default_jobs().
 [[nodiscard]] BatchEvaluator& default_evaluator();
 
-/// Overrides the default evaluator's pool size (the --jobs=N flag).  Takes
-/// effect immediately: the evaluator is rebuilt if already constructed.
-/// The retired evaluator stays valid for references still held, but its
-/// worker threads are released (restarted lazily if it evaluates again).
+/// Overrides the default evaluator's pool size (the --jobs=N flag, which
+/// cli::apply_jobs_flag parses).  Takes effect immediately: the evaluator
+/// is rebuilt if already constructed.  The retired evaluator stays valid
+/// for references still held, but its worker threads are released
+/// (restarted lazily if it evaluates again).
 void set_default_jobs(int jobs);
-
-/// Scans argv for `--jobs=N` and applies it via set_default_jobs().
-/// `--jobs=0` means "use every hardware thread" (hardware_concurrency) on
-/// every binary, so scripts can opt into full parallelism without probing
-/// the host first.  Returns the effective worker count applied (0 when the
-/// flag is absent or malformed); other arguments are left for the caller.
-/// Prefer calling this through cli::apply_jobs_flag, which documents the
-/// flag once for every tool.
-int apply_jobs_flag(int argc, char** argv);
 
 }  // namespace rvhpc::engine

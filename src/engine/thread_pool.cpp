@@ -45,6 +45,11 @@ PlacementHints placement_for(const arch::MachineModel& m) {
   return h;
 }
 
+int hardware_jobs() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? static_cast<int>(hw) : 1;
+}
+
 int default_jobs() {
   if (const char* env = std::getenv("RVHPC_JOBS")) {
     char* end = nullptr;
@@ -52,8 +57,7 @@ int default_jobs() {
     if (end != env && *end == '\0' && v > 0 && v <= 4096)
       return static_cast<int>(v);
   }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hardware_jobs();
 }
 
 ThreadPool::ThreadPool(int threads) : ThreadPool(threads, PlacementHints{}) {}

@@ -41,9 +41,13 @@
 
 namespace rvhpc::engine {
 
+/// Every hardware thread: std::thread::hardware_concurrency(), or 1 when
+/// the host cannot say.  What `--jobs=0` means on every binary.
+[[nodiscard]] int hardware_jobs();
+
 /// Number of workers to use when the caller does not say: the
 /// RVHPC_JOBS environment variable if set to a positive integer, else
-/// std::thread::hardware_concurrency(), else 1.
+/// hardware_jobs().
 [[nodiscard]] int default_jobs();
 
 /// Optional NUMA-placement hints for a pool.  Workers are assigned to

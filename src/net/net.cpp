@@ -9,13 +9,14 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
+#include <csignal>
 #include <cstring>
 #include <deque>
 #include <future>
-#include <ostream>
+#include <iostream>
 #include <stdexcept>
+#include <streambuf>
 #include <thread>
 #include <utility>
 
@@ -29,13 +30,7 @@
 namespace rvhpc::net {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double now_us() {
-  return std::chrono::duration<double, std::micro>(
-             Clock::now().time_since_epoch())
-      .count();
-}
+using serve::now_us;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -175,6 +170,52 @@ bool blank(const std::string& line) {
   return line.find_first_not_of(" \t") == std::string::npos;
 }
 
+/// std::cerr's buffer for the length of a stdio session (installed by the
+/// constructor, removed by the destructor).  fds 0 and 1 often share one
+/// open file description with fd 2 — a terminal, or `2>&1` into the same
+/// pipe — so the O_NONBLOCK the shard sets on them lands on the log too.
+/// This buffer writes fd 2 directly and waits out EAGAIN, so no log line
+/// is lost while the session is open.
+class BlockingStderr : public std::streambuf {
+ public:
+  BlockingStderr() : saved_(std::cerr.rdbuf(this)) {}
+  ~BlockingStderr() override { std::cerr.rdbuf(saved_); }
+  BlockingStderr(const BlockingStderr&) = delete;
+  BlockingStderr& operator=(const BlockingStderr&) = delete;
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (traits_type::eq_int_type(ch, traits_type::eof())) {
+      return traits_type::not_eof(ch);
+    }
+    const char c = traits_type::to_char_type(ch);
+    return write_all(&c, 1) ? ch : traits_type::eof();
+  }
+
+  std::streamsize xsputn(const char* s, std::streamsize n) override {
+    return write_all(s, static_cast<std::size_t>(n)) ? n : 0;
+  }
+
+ private:
+  static bool write_all(const char* p, std::size_t n) {
+    while (n > 0) {
+      const ssize_t w = ::write(STDERR_FILENO, p, n);
+      if (w > 0) {
+        p += w;
+        n -= static_cast<std::size_t>(w);
+      } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        pollfd out{STDERR_FILENO, POLLOUT, 0};
+        (void)::poll(&out, 1, -1);  // any outcome: retry the write
+      } else if (w < 0 && errno != EINTR) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::streambuf* saved_;
+};
+
 }  // namespace
 
 const char* to_string(Disconnect cause) {
@@ -288,7 +329,13 @@ struct HttpExchange {
 };
 
 struct Connection {
-  int fd = -1;
+  int rfd = -1;  ///< read side; -1 once the connection is closed
+  int wfd = -1;  ///< write side: rfd for a socket, stdout for stdio
+  /// Stdio: the fds belong to the caller of run_stdio().  They are never
+  /// closed; their original file-status flags are put back on close.
+  bool borrowed = false;
+  int rflags = 0;
+  int wflags = 0;
   std::string rbuf;
   std::string wbuf;
   std::deque<Pending> pending;
@@ -309,6 +356,18 @@ struct Connection {
   std::unique_ptr<http::RequestParser> parser;
   std::deque<HttpExchange> exchanges;
 };
+
+/// Gives a closing connection's fds back: a socket is closed, a borrowed
+/// stdio pair gets its original flags back and stays open.
+void release_fds(Connection& c) {
+  if (c.borrowed) {
+    (void)::fcntl(c.rfd, F_SETFL, c.rflags);
+    (void)::fcntl(c.wfd, F_SETFL, c.wflags);
+  } else {
+    ::close(c.rfd);
+  }
+  c.rfd = c.wfd = -1;
+}
 
 /// Locates a dispatched request by per-connection sequence number — it
 /// lives either on the raw-wire deque or inside an HTTP exchange.
@@ -399,11 +458,21 @@ class Shard {
   void request_stop();
   void join();
 
-  /// Hands an accepted socket to this shard (acceptor thread).  `refused`
-  /// connections get the polite "overloaded" farewell (a structured line
-  /// on the raw wire, a 503 + Retry-After over HTTP) and close.  `http`
-  /// fixes the connection's protocol for its lifetime.
-  void adopt(int fd, bool refused, bool http);
+  /// One connection handed over by the acceptor: an accepted socket
+  /// (rfd == wfd) or the borrowed stdio pair.  `refused` connections get
+  /// the polite "overloaded" farewell (a structured line on the raw wire,
+  /// a 503 + Retry-After over HTTP) and close.  `http` fixes the
+  /// connection's protocol for its lifetime.
+  struct Incoming {
+    int rfd = -1;
+    int wfd = -1;
+    bool borrowed = false;
+    bool refused = false;
+    bool http = false;
+  };
+
+  /// Hands a connection to this shard (acceptor thread).
+  void adopt(const Incoming& in);
 
   /// A dispatched compute phase finished (pool thread): queue the
   /// completion and wake the loop so the response is delivered now.
@@ -433,7 +502,6 @@ class Shard {
                         const std::string& line);
   void dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
                 serve::Service::Admission adm);
-  void enqueue_done(Connection& c, std::string response, bool ordered);
   void deliver(Connection& c, Pending& p);
   void note_answered();
   void flush_deliverable(Connection& c);
@@ -450,12 +518,6 @@ class Shard {
   int wake_fds_[2] = {-1, -1};  ///< [0] read end (polled), [1] write end
   std::thread thread_;
   std::atomic<bool> stop_{false};
-
-  struct Incoming {
-    int fd = -1;
-    bool refused = false;
-    bool http = false;
-  };
 
   std::mutex in_mu_;
   std::vector<Incoming> incoming_;
@@ -497,9 +559,11 @@ Shard::~Shard() {
   request_stop();
   join();
   for (auto& c : conns_) {
-    if (c->fd >= 0) ::close(c->fd);
+    if (c->rfd >= 0) release_fds(*c);
   }
-  for (const Incoming& in : incoming_) ::close(in.fd);
+  for (const Incoming& in : incoming_) {
+    if (!in.borrowed) ::close(in.rfd);
+  }
   if (wake_fds_[0] >= 0) ::close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) ::close(wake_fds_[1]);
 }
@@ -517,10 +581,10 @@ void Shard::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void Shard::adopt(int fd, bool refused, bool http) {
+void Shard::adopt(const Incoming& in) {
   {
     std::lock_guard lock(in_mu_);
-    incoming_.push_back({fd, refused, http});
+    incoming_.push_back(in);
   }
   wake();
 }
@@ -557,8 +621,18 @@ void Shard::adopt_incoming() {
   }
   for (const Incoming& inc : in) {
     auto c = std::make_shared<Connection>();
-    c->fd = inc.fd;
+    c->rfd = inc.rfd;
+    c->wfd = inc.wfd;
     c->http = inc.http;
+    if (inc.borrowed) {
+      // Both flag words are read before either is changed: fds 0 and 1
+      // may share one file description.
+      c->borrowed = true;
+      c->rflags = ::fcntl(c->rfd, F_GETFL, 0);
+      c->wflags = ::fcntl(c->wfd, F_GETFL, 0);
+      set_nonblocking(c->rfd);
+      set_nonblocking(c->wfd);
+    }
     c->last_read_us = now_us();
     if (inc.http) {
       http::Limits limits;
@@ -604,9 +678,8 @@ void Shard::begin_close(Connection& c, Disconnect cause,
 }
 
 void Shard::close_now(Connection& c, Disconnect cause) {
-  if (c.fd < 0) return;
-  ::close(c.fd);
-  c.fd = -1;
+  if (c.rfd < 0) return;
+  release_fds(c);
   server_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
   count_disconnect(cause);
   std::lock_guard lock(server_.stats_mu_);
@@ -628,7 +701,7 @@ void Shard::read_ready(Connection& c) {
   char chunk[4096];
   while (!c.draining && !c.closing &&
          c.rbuf.size() <= server_.opts_.max_line_bytes) {
-    const ssize_t n = ::recv(c.fd, chunk, sizeof(chunk), 0);
+    const ssize_t n = ::read(c.rfd, chunk, sizeof(chunk));
     if (n > 0) {
       c.rbuf.append(chunk, static_cast<std::size_t>(n));
       c.last_read_us = now_us();
@@ -637,8 +710,12 @@ void Shard::read_ready(Connection& c) {
       server_.stats_.bytes_in += static_cast<std::uint64_t>(n);
     } else if (n == 0) {
       // EOF: the client is done sending.  Its buffered complete lines are
-      // still answered; a trailing partial line (a client that died
-      // mid-request) is discarded.
+      // still answered; a trailing partial line is discarded on a socket
+      // (a client that died mid-request) but is the last request of a
+      // stdio stream, whose final newline is optional.
+      if (c.borrowed && !c.rbuf.empty() && c.rbuf.back() != '\n') {
+        c.rbuf += '\n';
+      }
       c.draining = true;
       c.cause = Disconnect::Eof;
     } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -652,20 +729,19 @@ void Shard::read_ready(Connection& c) {
   }
 }
 
-void Shard::enqueue_done(Connection& c, std::string response, bool ordered) {
-  Pending p;
-  p.seq = c.next_seq++;
-  p.ordered = ordered;
-  p.done = true;
-  p.response = std::move(response);
-  c.pending.push_back(std::move(p));
-}
-
 /// Admits at most one buffered line of `cp`; true when a line was consumed
 /// (the round-robin scheduler uses this to detect an idle pass).
 bool Shard::admit_one(const std::shared_ptr<Connection>& cp) {
   Connection& c = *cp;
-  if (c.fd < 0 || c.closing) return false;
+  if (c.rfd < 0 || c.closing) return false;
+  // Stdio backpressure: its one reader is whatever consumes stdout, and a
+  // slow one (a pager, a filter) must slow the server down, not lose
+  // answers.  Lines wait in rbuf, and reading stops once that is full,
+  // until the write buffer drains.  A socket past the bound is a slow
+  // reader instead (deliver()).
+  if (c.borrowed && c.wbuf.size() >= server_.opts_.max_write_buffer) {
+    return false;
+  }
 
   std::string line;
   if (!take_line(c.rbuf, line)) {
@@ -718,9 +794,9 @@ Pending Shard::evaluate_line(const std::shared_ptr<Connection>& cp,
     return p;
   }
 
-  // Admission bound, checked before the parse exactly like the stdio loop
-  // checks its backlog: compute dispatched and not yet completed past the
-  // service's queue capacity is answered "overloaded" immediately.
+  // Admission bound, checked before the parse on every transport: compute
+  // dispatched and not yet completed past the service's queue capacity is
+  // answered "overloaded" immediately.
   if (server_.inflight_.load(std::memory_order_relaxed) >=
       server_.service_.options().queue_capacity) {
     p.ordered = false;
@@ -796,7 +872,7 @@ bool Shard::append_out(Connection& c, std::string_view data) {
 /// input was consumed or a request was handled.
 bool Shard::process_http_one(const std::shared_ptr<Connection>& cp) {
   Connection& c = *cp;
-  if (c.fd < 0 || c.closing) return false;
+  if (c.rfd < 0 || c.closing) return false;
   http::RequestParser& parser = *c.parser;
 
   bool progress = false;
@@ -937,7 +1013,7 @@ void Shard::finish_exchange(Connection& c, const HttpExchange& ex) {
 /// from the front — the raw wire's id contract) and terminate with the
 /// last-chunk once all items delivered.
 void Shard::flush_http(Connection& c) {
-  while (!c.exchanges.empty() && c.fd >= 0 && !c.closing) {
+  while (!c.exchanges.empty() && c.rfd >= 0 && !c.closing) {
     HttpExchange& ex = c.exchanges.front();
 
     // A single-item predict reply becomes an immediate body once its
@@ -1070,8 +1146,9 @@ void Shard::note_answered() {
 
 void Shard::deliver(Connection& c, Pending& p) {
   p.delivered = true;
-  if (c.fd < 0 || c.closing) return;  // response owed to no one now
-  if (c.wbuf.size() + p.response.size() + 1 > server_.opts_.max_write_buffer) {
+  if (c.rfd < 0 || c.closing) return;  // response owed to no one now
+  if (!c.borrowed &&
+      c.wbuf.size() + p.response.size() + 1 > server_.opts_.max_write_buffer) {
     // The client is not draining responses; holding more would be
     // unbounded memory, and it cannot read an apology either.
     close_now(c, Disconnect::SlowReader);
@@ -1086,7 +1163,7 @@ void Shard::flush_deliverable(Connection& c) {
   // Unordered (id-carrying) responses deliver the moment they are done,
   // from any position — the out-of-order completion contract.
   for (Pending& p : c.pending) {
-    if (c.fd < 0 || c.closing) break;
+    if (c.rfd < 0 || c.closing) break;
     if (!p.ordered && p.done && !p.delivered) deliver(c, p);
   }
   // Ordered (id-less) responses only ever deliver from the front, so a
@@ -1098,7 +1175,7 @@ void Shard::flush_deliverable(Connection& c) {
       c.pending.pop_front();
       continue;
     }
-    if (front.ordered && front.done && c.fd >= 0 && !c.closing) {
+    if (front.ordered && front.done && c.rfd >= 0 && !c.closing) {
       deliver(c, front);
       c.pending.pop_front();
       continue;
@@ -1137,9 +1214,8 @@ void Shard::drain_completions() {
 void Shard::flush_writes() {
   for (auto& cp : conns_) {
     Connection& c = *cp;
-    while (c.fd >= 0 && !c.wbuf.empty()) {
-      const ssize_t n =
-          ::send(c.fd, c.wbuf.data(), c.wbuf.size(), MSG_NOSIGNAL);
+    while (c.rfd >= 0 && !c.wbuf.empty()) {
+      const ssize_t n = ::write(c.wfd, c.wbuf.data(), c.wbuf.size());
       if (n > 0) {
         c.wbuf.erase(0, static_cast<std::size_t>(n));
         count_bytes(false, static_cast<std::uint64_t>(n));
@@ -1161,7 +1237,7 @@ void Shard::reap_and_time_out() {
   const double now = now_us();
   for (auto& cp : conns_) {
     Connection& c = *cp;
-    if (c.fd < 0) continue;
+    if (c.rfd < 0) continue;
     const bool owes_nothing =
         c.http ? (c.rbuf.empty() && c.exchanges.empty())
                : (c.rbuf.find('\n') == std::string::npos && c.pending.empty());
@@ -1233,7 +1309,7 @@ void Shard::reap_and_time_out() {
     }
   }
   std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
-    return c->fd < 0;
+    return c->rfd < 0;
   });
 }
 
@@ -1252,13 +1328,20 @@ void Shard::loop() {
     fds.clear();
     if (wake_fds_[0] >= 0) fds.push_back({wake_fds_[0], POLLIN, 0});
     for (const auto& c : conns_) {
-      short events = 0;
-      if (!c->draining && !c->closing &&
-          c->rbuf.size() <= server_.opts_.max_line_bytes) {
-        events |= POLLIN;
+      const bool reading = !c->draining && !c->closing &&
+                           c->rbuf.size() <= server_.opts_.max_line_bytes;
+      const bool writing = !c->wbuf.empty();
+      if (c->rfd == c->wfd) {
+        fds.push_back({c->rfd,
+                       static_cast<short>((reading ? POLLIN : 0) |
+                                          (writing ? POLLOUT : 0)),
+                       0});
+      } else {
+        // Stdio: poll() skips negative fds, so a side with nothing to do
+        // (stdin at EOF reports POLLHUP forever) cannot spin the loop.
+        fds.push_back({reading ? c->rfd : -1, POLLIN, 0});
+        fds.push_back({writing ? c->wfd : -1, POLLOUT, 0});
       }
-      if (!c->wbuf.empty()) events |= POLLOUT;
-      fds.push_back({c->fd, events, 0});
     }
     (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                  server_.opts_.poll_interval_ms);
@@ -1268,7 +1351,7 @@ void Shard::loop() {
     // non-blocking, so sweeping every connection is safe and keeps the
     // loop free of fd-to-connection bookkeeping.
     for (auto& c : conns_) {
-      if (c->fd >= 0 && !c->draining && !c->closing) read_ready(*c);
+      if (c->rfd >= 0 && !c->draining && !c->closing) read_ready(*c);
     }
     process_lines();
     drain_completions();
@@ -1286,7 +1369,7 @@ void Shard::drain() {
   // slow batch) still gets every one answered, with healthz now
   // reporting "draining".
   for (auto& c : conns_) {
-    if (c->fd >= 0 && !c->draining && !c->closing) read_ready(*c);
+    if (c->rfd >= 0 && !c->draining && !c->closing) read_ready(*c);
   }
   process_lines();
   // Answered, not dropped: every dispatched compute future completes and
@@ -1297,7 +1380,7 @@ void Shard::drain() {
     flush_writes();
     bool undone = false;
     for (const auto& c : conns_) {
-      if (c->fd < 0) continue;
+      if (c->rfd < 0) continue;
       for (const Pending& p : c->pending) {
         if (!p.done) {
           undone = true;
@@ -1325,14 +1408,14 @@ void Shard::drain() {
       (void)::poll(&none, 1, server_.opts_.poll_interval_ms);
     }
     for (auto& c : conns_) {
-      if (c->fd >= 0 && !c->draining && !c->closing) read_ready(*c);
+      if (c->rfd >= 0 && !c->draining && !c->closing) read_ready(*c);
     }
     process_lines();
   }
   // Everything resolvable is resolved; push any responses still parked
   // on their exchanges/deques into the write buffers.
   for (auto& cp : conns_) {
-    if (cp->fd < 0) continue;
+    if (cp->rfd < 0) continue;
     if (cp->http) {
       flush_http(*cp);
     } else {
@@ -1345,18 +1428,18 @@ void Shard::drain() {
   while (now_us() < deadline) {
     fds.clear();
     for (const auto& c : conns_) {
-      if (c->fd >= 0 && !c->wbuf.empty()) fds.push_back({c->fd, POLLOUT, 0});
+      if (c->rfd >= 0 && !c->wbuf.empty()) fds.push_back({c->wfd, POLLOUT, 0});
     }
     if (fds.empty()) break;
     (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                  server_.opts_.poll_interval_ms);
     flush_writes();
     std::erase_if(conns_, [](const std::shared_ptr<Connection>& c) {
-      return c->fd < 0;
+      return c->rfd < 0;
     });
   }
   for (auto& c : conns_) {
-    if (c->fd >= 0) close_now(*c, Disconnect::Drained);
+    if (c->rfd >= 0) close_now(*c, Disconnect::Drained);
   }
   conns_.clear();
   if (depth_gauge_) depth_gauge_->set(0.0);
@@ -1368,6 +1451,9 @@ void Shard::drain() {
 
 Server::Server(serve::Service& service, ServerOptions opts)
     : service_(service), opts_(opts) {
+  // Shards use plain write() on sockets and pipes alike: a peer that went
+  // away must surface as EPIPE (a disconnect), not kill the process.
+  (void)std::signal(SIGPIPE, SIG_IGN);
   if (opts_.shards == 0) opts_.shards = 1;
   if (opts_.max_line_bytes == 0) opts_.max_line_bytes = 1;
   if (opts_.max_write_buffer == 0) opts_.max_write_buffer = 1;
@@ -1436,11 +1522,18 @@ void Server::accept_from(const Listener& listener, bool http) {
       ++stats_.accepted;
       ++stats_.shard_connections[shard];
     }
-    shards_[shard]->adopt(fd, refused, http);
+    shards_[shard]->adopt({fd, fd, /*borrowed=*/false, refused, http});
   }
 }
 
-void Server::run(std::ostream& log) {
+void Server::run(std::ostream& log) { serve(log, -1, -1); }
+
+void Server::run_stdio(int in_fd, int out_fd, std::ostream& log) {
+  BlockingStderr log_guard;
+  serve(log, in_fd, out_fd);
+}
+
+void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
   const auto stop_requested = [this] {
     return stop_.load(std::memory_order_relaxed) ||
            serve::shutdown_requested();
@@ -1459,7 +1552,23 @@ void Server::run(std::ostream& log) {
   }
   for (auto& s : shards_) s->start();
 
-  while (!stop_requested()) {
+  const bool stdio = stdio_in >= 0;
+  if (stdio) {
+    // Counted open before the shard adopts it, so the loop below cannot
+    // see zero connections and return before the session started.
+    count(Count::Connection);
+    open_conns_.fetch_add(1, std::memory_order_relaxed);
+    {
+      std::lock_guard lock(stats_mu_);
+      ++stats_.accepted;
+      ++stats_.shard_connections[0];
+    }
+    shards_[0]->adopt({stdio_in, stdio_out, /*borrowed=*/true,
+                       /*refused=*/false, /*http=*/false});
+  }
+
+  while (!stop_requested() &&
+         !(stdio && open_conns_.load(std::memory_order_relaxed) == 0)) {
     pollfd lps[2];
     nfds_t nfds = 0;
     if (listener_.is_open()) lps[nfds++] = {listener_.fd(), POLLIN, 0};

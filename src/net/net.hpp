@@ -1,25 +1,27 @@
 #pragma once
-// rvhpc::net — sharded TCP transport and multi-client front end.
+// rvhpc::net — the sharded transport every live request goes through.
 //
-// rvhpc-serve's stdio listener serves exactly one client: whoever owns the
-// pipe.  This module puts the same Service behind a loopback TCP socket so
-// the persistent prediction cache becomes a shared resource — many
-// concurrent clients, one resident cache, one process paying each
-// predict() once.  The protocol is unchanged: line-delimited JSON requests
-// in (including per-request "backend" selection — serve/service.hpp is
-// the schema), one JSON response line per request out.
+// One Server serves the line-delimited JSON protocol (serve/service.hpp
+// is the schema, including per-request "backend" selection) on three
+// kinds of connection, all owned by the same event-loop shards:
 //
-// The same shards optionally serve HTTP/1.1 on a second listener
-// (ServerOptions::http): POST /v1/predict carries one request line or a
-// JSON-lines batch as a Content-Length body and streams the responses
-// back (single → a status-mapped fixed-length reply, batch → chunked,
-// each response a chunk as its compute completes, matched by id exactly
-// like the raw wire), GET /metrics renders the obs registry inline on
-// the shard, and GET /healthz answers drain-aware 200/503.  The framing
-// layer is src/http — a pure incremental parser driven by the same
-// poll() reads; a connection's protocol is fixed by the listener that
-// accepted it, and both protocols share the admission path, the compute
-// pool, the bounded-memory taxonomy and the drain contract.
+//   * raw JSON-lines over a loopback TCP socket (run(), ServerOptions::
+//     port) — many concurrent clients sharing one resident cache;
+//   * HTTP/1.1 on a second listener (ServerOptions::http): POST
+//     /v1/predict carries one request line or a JSON-lines batch as a
+//     Content-Length body and streams the responses back (single → a
+//     status-mapped fixed-length reply, batch → chunked, each response a
+//     chunk as its compute completes, matched by id exactly like the raw
+//     wire), GET /metrics renders the obs registry inline on the shard,
+//     and GET /healthz answers drain-aware 200/503.  The framing layer is
+//     src/http — a pure incremental parser driven by the same poll()
+//     reads;
+//   * one stdin/stdout pair (run_stdio()) — the raw wire again, with a
+//     read fd and a write fd instead of one socket.
+//
+// A connection's protocol is fixed by how it arrived, and every protocol
+// shares the one admission path, the compute pool, the ordering
+// contract, the bounded-memory taxonomy and the drain contract below.
 //
 // Architecture (DESIGN.md §13): I/O and compute never share a thread.
 //
@@ -30,35 +32,40 @@
 //                                 ▲                            │
 //                                 └── wakeup pipe re-arms ◀────┘
 //
-// The acceptor thread (the caller of run()) owns the Listener and deals
-// accepted sockets round-robin to N event-loop shards; each shard owns its
-// connections exclusively and runs its own poll() loop with a wakeup pipe.
-// A shard splits every request line through serve::Service::admit() — the
-// cheap parse/admission phase — and dispatches the compute phase to the
-// shared engine ThreadPool as a std::future; a completed future pokes the
-// shard's wakeup pipe so the response is flushed immediately instead of on
-// the next poll tick.  Responses complete out of order per connection:
-// requests carrying an "id" are answered as soon as their future resolves
-// (the id is echoed so clients can match), requests without an "id" keep
-// the in-order contract stdio replay relies on.  Warm requests are
-// completed inline on the shard (a memo probe, no pool handoff), so one
-// slow uncached prediction never stalls cached hits — on the same
-// connection or any other.  The periodic persistent-cache checkpoint runs
-// on a dedicated background flusher thread, never on an event loop.
+// The acceptor thread (the caller of run()/run_stdio()) owns the
+// listeners and deals accepted sockets round-robin to N event-loop
+// shards; each shard owns its connections exclusively and runs its own
+// poll() loop with a wakeup pipe.  A shard splits every request line
+// through serve::Service::admit() — the cheap parse/admission phase —
+// and dispatches the compute phase to the shared engine ThreadPool as a
+// std::future; a completed future pokes the shard's wakeup pipe so the
+// response is flushed immediately instead of on the next poll tick.
+// Responses complete out of order per connection: requests carrying an
+// "id" are answered as soon as their future resolves (the id is echoed so
+// clients can match), requests without an "id" are answered in request
+// order.  Warm requests are completed inline on the shard (a memo probe,
+// no pool handoff), so one slow uncached prediction never stalls cached
+// hits — on the same connection or any other.  The periodic
+// persistent-cache checkpoint runs on a dedicated background flusher
+// thread, never on an event loop.
 //
-// Bounded-memory contract (unchanged): a request line longer than
-// max_line_bytes answers a structured "overloaded" error and closes; a
-// client that stops reading until max_write_buffer fills is disconnected;
-// a connection idle past idle_timeout_ms is told "timeout" and closed;
-// compute in flight past the service's queue_capacity answers
-// "overloaded" at admission.  Nothing about a misbehaving peer can grow
-// server state without bound or wedge a loop.
+// Bounded-memory contract: a request line longer than max_line_bytes
+// answers a structured "overloaded" error and closes; a socket client
+// that stops reading until max_write_buffer fills is disconnected (the
+// stdio connection stops admitting instead: stdout's reader is its only
+// client, and a slow one must not lose answers); a connection idle
+// past idle_timeout_ms is told "timeout" and closed; compute in flight
+// past the service's queue_capacity answers "overloaded" at admission.
+// Nothing about a misbehaving peer can grow server state without bound or
+// wedge a loop.
 //
-// Shutdown: SIGTERM/SIGINT (serve::install_shutdown_handlers) or stop()
-// stops accepting, answers every complete request line already buffered,
-// waits for every in-flight compute future (answered, not dropped),
-// flushes write buffers (bounded grace) and the persistent cache, and
-// returns from run().
+// Shutdown: SIGTERM/SIGINT (serve::install_shutdown_handlers), stop(), or
+// — for run_stdio() — the stdio connection closing stops accepting,
+// answers every complete request line already buffered, waits for every
+// in-flight compute future (answered, not dropped), flushes write buffers
+// (bounded grace) and the persistent cache, and returns.  The Server
+// ignores SIGPIPE: a reader that goes away is a disconnect, never a
+// killed process.
 
 #include <atomic>
 #include <cstddef>
@@ -236,6 +243,16 @@ class Server {
   /// flushed) and logs a "net: drained" summary before returning.
   void run(std::ostream& log);
 
+  /// Serves one raw-wire connection that reads `in_fd` and writes
+  /// `out_fd` (rvhpc-serve --listen=stdio passes 0 and 1) on shard 0,
+  /// with run()'s start and drain sequence; returns once that connection
+  /// has closed (EOF answered, reader gone, oversized line) or a stop was
+  /// requested, and the drain is done.  The fds are borrowed: they are
+  /// made non-blocking while the connection is open, get their original
+  /// file-status flags back when it closes, and are never closed.  Serves
+  /// no listener: call open() only before run().
+  void run_stdio(int in_fd, int out_fd, std::ostream& log);
+
   /// Requests the same graceful drain SIGTERM does (thread-safe).
   void stop() { stop_.store(true, std::memory_order_relaxed); }
 
@@ -245,6 +262,7 @@ class Server {
   friend class detail::Shard;
   friend class detail::CacheFlusher;
 
+  void serve(std::ostream& log, int stdio_in, int stdio_out);
   void accept_pending();
   void accept_from(const Listener& listener, bool http);
   void publish_gauges() const;

@@ -3,9 +3,10 @@
 // Reads line-delimited JSON prediction requests (stdin by default, a
 // replay log with --replay, or a loopback TCP socket with --listen=tcp),
 // answers each with one line of JSON, and keeps the engine's memo cache
-// warm across processes through a persistent cache file.  See
+// warm across processes through a persistent cache file.  Every live
+// listener, stdin included, is a connection on net::Server.  See
 // src/serve/service.hpp for the request/response schema, DESIGN.md §9 for
-// the service and §10 for the TCP transport.
+// the service and §13 for the transport.
 //
 //   echo '{"id":"r1","machine":"sg2044","kernel":"CG","cores":64}' |
 //     rvhpc-serve --cache-file=predictions.bin
@@ -23,6 +24,9 @@
 // Exit status: 0 on success (including replays with per-request errors —
 // those are *answered*, not fatal), 1 on gate failure, 2 on usage errors.
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -35,6 +39,7 @@
 
 #include "arch/registry.hpp"
 #include "cli/cli.hpp"
+#include "engine/thread_pool.hpp"
 #include "net/net.hpp"
 #include "obs/metrics.hpp"
 #include "serve/persist.hpp"
@@ -57,8 +62,10 @@ const cli::ToolInfo kTool{
     "                   [--checkpoint-every=N] [--no-lint] [--no-live-fields]\n"
     "                   [--jobs=N] [--metrics[=<file>]] [--gate]\n"
     "\n"
-    "  --listen=stdio        serve requests from stdin until EOF/SIGTERM\n"
-    "                        (the default; incompatible with --http)\n"
+    "  --listen=stdio        serve requests from stdin until EOF/SIGTERM or\n"
+    "                        until stdout's reader goes away (the default;\n"
+    "                        incompatible with --http); same admission,\n"
+    "                        ordering and drain as tcp\n"
     "  --listen=tcp:PORT     serve concurrent clients on 127.0.0.1:PORT\n"
     "                        until SIGTERM; PORT 0 picks an ephemeral port\n"
     "                        (logged as \"net: listening on ...\"); drive it\n"
@@ -105,18 +112,6 @@ const cli::ToolInfo kTool{
     "                        (stderr, or FILE)\n"
     "  --gate                self-check: replay determinism across pool\n"
     "                        sizes and cold/warm cache runs, then exit"};
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 struct Options {
   serve::Service::Options svc;
@@ -227,7 +222,7 @@ int run_gate() {
   // 3. Throughput: the pool should beat one worker — only meaningful on
   //    real multicore hardware and without sanitizer overhead.
   const unsigned hw = std::thread::hardware_concurrency();
-  if (hw >= 4 && !kSanitized) {
+  if (hw >= 4 && !cli::kSanitized) {
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
       std::ostringstream sink1, sink4;
@@ -245,7 +240,7 @@ int run_gate() {
   } else {
     std::cerr << "gate: skip — throughput check needs >= 4 hardware threads"
               << " and an unsanitized build (have " << hw
-              << (kSanitized ? ", sanitized" : "") << ")\n";
+              << (cli::kSanitized ? ", sanitized" : "") << ")\n";
   }
 
   std::remove(requests_path.c_str());
@@ -318,8 +313,8 @@ int main(int argc, char** argv) {
       if (shards == 0) {
         // Auto: one loop per core is overkill for a line protocol —
         // clamp at 4, the point where accept fan-out stops mattering.
-        const unsigned hw = std::thread::hardware_concurrency();
-        shards = std::min<std::size_t>(hw > 0 ? hw : 1, 4);
+        shards = std::min<std::size_t>(
+            static_cast<std::size_t>(engine::hardware_jobs()), 4);
       }
       opt.net.shards = shards;
       shards_set = true;
@@ -414,10 +409,16 @@ int main(int argc, char** argv) {
 
   obs::set_metrics_enabled(true);
 
+  // --out: the replay writes a stream, the stdio connection an fd.
   std::ofstream out_file;
+  int out_fd = STDOUT_FILENO;
   if (!opt.out_path.empty()) {
-    out_file.open(opt.out_path);
-    if (!out_file.good()) {
+    if (opt.replay_path.empty()) {
+      out_fd = ::open(opt.out_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    } else {
+      out_file.open(opt.out_path);
+    }
+    if (out_fd < 0 || !out_file.good()) {
       return usage_error("cannot open --out file '" + opt.out_path + "'");
     }
   }
@@ -434,20 +435,22 @@ int main(int argc, char** argv) {
         std::cerr << "rvhpc-serve: " << e.what() << "\n";
         status = 2;
       }
-    } else if (opt.tcp || opt.http) {
-      serve::install_shutdown_handlers();
-      net::Server server(svc, opt.net);
-      try {
-        server.open(std::cerr);
-      } catch (const std::exception& e) {
-        return usage_error(e.what());
-      }
-      server.run(std::cerr);
     } else {
       serve::install_shutdown_handlers();
-      svc.run(std::cin, out, std::cerr);
+      net::Server server(svc, opt.net);
+      if (opt.tcp || opt.http) {
+        try {
+          server.open(std::cerr);
+        } catch (const std::exception& e) {
+          return usage_error(e.what());
+        }
+        server.run(std::cerr);
+      } else {
+        server.run_stdio(STDIN_FILENO, out_fd, std::cerr);
+      }
     }
   }
+  if (out_fd != STDOUT_FILENO) ::close(out_fd);
 
   if (opt.metrics && status == 0) {
     const std::string text = obs::Registry::global().render_text();

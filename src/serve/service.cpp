@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -26,14 +25,6 @@
 
 namespace rvhpc::serve {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double now_us() {
-  return std::chrono::duration<double, std::micro>(
-             Clock::now().time_since_epoch())
-      .count();
-}
 
 // --- shutdown flag (async-signal-safe) ------------------------------------
 
@@ -319,8 +310,8 @@ std::size_t Service::start(std::ostream& log) {
 }
 
 std::string Service::complete(const Parsed& req, double arrival_us) {
-  // Deadline: checked at evaluation time, so a request that sat in the
-  // backlog past its budget answers "timeout" instead of burning a worker
+  // Deadline: checked at evaluation time, so a request that waited for the
+  // pool past its budget answers "timeout" instead of burning a worker
   // on an answer nobody is waiting for.
   if (req.timeout_ms > 0.0 &&
       now_us() - arrival_us > req.timeout_ms * 1000.0) {
@@ -464,10 +455,6 @@ bool Service::note_evaluation() {
   return false;
 }
 
-void Service::maybe_checkpoint(std::ostream& log) {
-  if (note_evaluation()) flush(log);
-}
-
 void Service::flush(std::ostream& log) {
   if (opts_.cache_file.empty()) return;
   std::lock_guard save_lock(save_mu_);
@@ -483,56 +470,6 @@ void Service::flush(std::ostream& log) {
   } catch (const std::exception& e) {
     log << "serve: WARNING: checkpoint failed: " << e.what() << "\n";
   }
-}
-
-void Service::run(std::istream& in, std::ostream& out, std::ostream& log) {
-  obs::ScopedSpan session_span("serve", "session");
-  engine::ThreadPool pool(jobs_);
-  std::mutex out_mu;
-  std::atomic<std::size_t> pending{0};
-
-  const auto emit = [&](const std::string& response) {
-    std::lock_guard lock(out_mu);
-    out << response << "\n" << std::flush;
-  };
-
-  std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-
-    // Bounded backlog: a request beyond the bound is answered immediately
-    // instead of queueing without limit — predictable worst-case memory
-    // and latency under overload.
-    if (pending.load(std::memory_order_relaxed) >= opts_.queue_capacity) {
-      emit(reject_overloaded());
-      continue;
-    }
-
-    pending.fetch_add(1, std::memory_order_relaxed);
-    pool.submit([this, &emit, &log, &pending, line] {
-      // A worker must never throw: any unexpected failure becomes a
-      // structured response, the process stays up.
-      std::string response;
-      try {
-        response = handle_line(line);
-      } catch (const std::exception& e) {
-        response = error_json("", "internal", e.what());
-      }
-      emit(response);
-      pending.fetch_sub(1, std::memory_order_relaxed);
-      maybe_checkpoint(log);
-    });
-  }
-
-  // Graceful drain: EOF or SIGTERM stops admission; everything already
-  // admitted still gets its answer, then the cache hits disk.
-  pool.wait();
-  flush(log);
-  const ServiceStats s = stats();
-  log << "serve: drained — " << s.received << " received, " << s.ok << " ok, "
-      << s.parse_errors + s.lint_rejected << " rejected, " << s.timeouts
-      << " timed out, " << s.overloaded << " overloaded, " << s.cache_hits
-      << " cache hits\n";
 }
 
 std::string Service::replay(const std::string& path, std::ostream& out,

@@ -3,12 +3,14 @@
 //
 // Every prediction tool in the repo so far is a one-shot process: it cold
 // starts, sweeps, and throws the engine's memo cache away on exit.  The
-// Service turns the same engine into a resident server: line-delimited
-// JSON requests come in (stdin or a replay file), are admitted through a
-// bounded backlog into a worker pool, evaluated against a persistent
-// PredictionCache (serve/persist.hpp), and answered with line-delimited
-// JSON responses carrying per-request status, latency and cache-hit
-// attribution.
+// Service turns the same engine into a resident server: it owns the
+// request schema, the persistent PredictionCache (serve/persist.hpp) and
+// the two phases of answering one request line — admit() (parse +
+// admission lint) and complete() (cache probe, backend predict, response
+// render).  It owns no transport.  Live requests (stdin, TCP, HTTP) reach
+// it through net::Server, which is the one place that bounds admission,
+// orders responses and drains (DESIGN.md §13); replay() is the offline,
+// deterministic batch path.
 //
 // Request schema (one JSON object per line; DESIGN.md §9.2):
 //   {"id": "r1", "machine": "sg2044", "kernel": "CG", "class": "C",
@@ -25,8 +27,9 @@
 //                   backend is part of the memo key, so cached analytic
 //                   results never answer interval requests; unknown
 //                   values are a structured `parse` error.
-//   "timeout_ms"    per-request deadline; a request still queued when it
-//                   expires answers {"status":"error","error":"timeout"}
+//   "timeout_ms"    per-request deadline; a request still waiting for the
+//                   compute pool when it expires answers
+//                   {"status":"error","error":"timeout"}
 //   "tag"           opaque label echoed in the response
 //
 // Response schema:
@@ -40,12 +43,12 @@
 // cold and a warm replay of the same log are byte-identical (the
 // acceptance gate scripts/check.sh enforces).
 //
-// Robustness semantics (ISSUE 4): malformed JSON, lint-rejected machines,
-// expired deadlines, a full backlog and a corrupt cache file all produce
+// Robustness semantics: malformed JSON, lint-rejected machines, expired
+// deadlines, a full admission bound and a corrupt cache file all produce
 // structured error responses or logged warnings — never a crash, never a
-// silently dropped request.  EOF or SIGTERM drains the backlog, flushes
-// the cache to disk and exits cleanly.
+// silently dropped request.
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -58,6 +61,15 @@
 #include "serve/persist.hpp"
 
 namespace rvhpc::serve {
+
+/// Steady-clock microseconds: the clock of Admission::arrival_us and of
+/// every deadline and latency measured against it.  Inline because the
+/// request path (admit, complete, the shard's reads) calls it per request.
+[[nodiscard]] inline double now_us() {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Aggregate counters of one Service instance's lifetime (the obs
 /// registry's rvhpc_serve_* counters aggregate across instances; tests and
@@ -80,9 +92,10 @@ class Service {
     /// Worker threads evaluating admitted requests; <= 0 means
     /// engine::default_jobs() (RVHPC_JOBS or hardware_concurrency).
     int jobs = 0;
-    /// Maximum requests admitted but not yet answered (live mode).  A
-    /// request arriving past this bound is answered "overloaded"
-    /// immediately.  0 rejects everything — useful for drills and tests.
+    /// Maximum requests dispatched to the compute pool and not yet
+    /// completed (live mode; net::Server enforces it).  A request arriving
+    /// past this bound is answered "overloaded" immediately.  0 rejects
+    /// everything — useful for drills and tests.
     std::size_t queue_capacity = 256;
     /// Deadline applied to requests that do not carry "timeout_ms";
     /// 0 = no deadline.
@@ -118,11 +131,6 @@ class Service {
   /// cache is a cold start, never a fatal error.  Returns entries
   /// restored.
   std::size_t start(std::ostream& log);
-
-  /// Serves `in` until EOF or shutdown_requested(): one response line per
-  /// request line, written to `out` in completion order, then drains the
-  /// pool and flushes the cache.
-  void run(std::istream& in, std::ostream& out, std::ostream& log);
 
   /// Batch-replays a request log: every line is admitted (no backlog
   /// rejection — replay is offline), evaluated across the pool, and
@@ -167,19 +175,17 @@ class Service {
 
   /// Parses, admits and evaluates one request line synchronously,
   /// returning the response JSON (no trailing newline) — admit() +
-  /// complete() back to back.  The stdio run()/replay() path; exposed for
-  /// tests.
+  /// complete() back to back.  The replay() path; exposed for tests.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
-  /// The structured "overloaded" rejection (also counts it): the shared
-  /// shape for every admission-bound front end (stdio backlog, net
-  /// in-flight bound).  `id` is echoed so id-matching clients can pair
+  /// The structured "overloaded" rejection (also counts it), answered by
+  /// net::Server when its in-flight compute reaches queue_capacity.  `id` is echoed so id-matching clients can pair
   /// the rejection with its request.
   [[nodiscard]] std::string reject_overloaded(const std::string& id = "");
 
   /// Counts one completed evaluation toward the checkpoint period;
   /// true when a checkpoint is now due (caller decides which thread pays
-  /// for the flush — the net front end hands it to a background flusher).
+  /// for the flush — net::Server hands it to a background flusher).
   [[nodiscard]] bool note_evaluation();
 
   /// Writes the persistent cache now (no-op without a cache_file).
@@ -191,23 +197,21 @@ class Service {
   [[nodiscard]] int jobs() const { return jobs_; }
 
  private:
-  void maybe_checkpoint(std::ostream& log);
-
   Options opts_;
   int jobs_;
   engine::PredictionCache cache_;
   mutable std::mutex stats_mu_;
-  std::mutex save_mu_;  ///< serialises checkpoint writes from worker threads
+  std::mutex save_mu_;  ///< serialises concurrent flush() calls
   ServiceStats stats_;
   std::uint64_t since_checkpoint_ = 0;
 };
 
-/// Installs SIGTERM/SIGINT handlers that request a graceful drain: the
-/// run() loop stops admitting after the current line, finishes in-flight
-/// work, flushes the cache and returns.
+/// Installs SIGTERM/SIGINT handlers that request a graceful drain:
+/// net::Server stops admitting, answers in-flight work, flushes the cache
+/// and returns.
 void install_shutdown_handlers();
 [[nodiscard]] bool shutdown_requested();
-/// Clears the flag (tests; a fresh run() after a drained one).
+/// Clears the flag (tests; a fresh serve loop after a drained one).
 void reset_shutdown();
 
 }  // namespace rvhpc::serve

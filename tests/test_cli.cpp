@@ -1,13 +1,16 @@
 // Tests for rvhpc::cli — the shared --help/--version plumbing used by
-// rvhpc-lint and rvhpc-profile.
+// rvhpc-lint and rvhpc-profile, and the --jobs=N flag every tool shares.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "cli/cli.hpp"
+#include "engine/batch.hpp"
+#include "engine/thread_pool.hpp"
 
 using namespace rvhpc;
 
@@ -65,4 +68,28 @@ TEST(CliFlags, IgnoresOrdinaryArguments) {
   EXPECT_FALSE(run_flags({"rvhpc-test", "--machine", "sg2044"}, os));
   EXPECT_FALSE(run_flags({"rvhpc-test", "--helpful", "-hh"}, os));
   EXPECT_TRUE(os.str().empty());
+}
+
+TEST(ApplyJobsFlag, ParsesValidAndRejectsMalformed) {
+  const char* good[] = {"prog", "--table=3", "--jobs=3"};
+  EXPECT_EQ(cli::apply_jobs_flag(3, const_cast<char**>(good)), 3);
+  EXPECT_EQ(engine::default_evaluator().jobs(), 3);
+
+  const char* absent[] = {"prog", "--verbose"};
+  EXPECT_EQ(cli::apply_jobs_flag(2, const_cast<char**>(absent)), 0);
+
+  // --jobs=0 means "every hardware thread" on every binary.
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int want_hw = hw > 0 ? static_cast<int>(hw) : 1;
+  const char* zero[] = {"prog", "--jobs=0"};
+  EXPECT_EQ(cli::apply_jobs_flag(2, const_cast<char**>(zero)), want_hw);
+  EXPECT_EQ(engine::default_evaluator().jobs(), want_hw);
+
+  const char* junk[] = {"prog", "--jobs=abc"};
+  EXPECT_EQ(cli::apply_jobs_flag(2, const_cast<char**>(junk)), 0);
+
+  const char* trailing[] = {"prog", "--jobs=4x"};
+  EXPECT_EQ(cli::apply_jobs_flag(2, const_cast<char**>(trailing)), 0);
+
+  engine::set_default_jobs(engine::default_jobs());  // restore for later tests
 }

@@ -477,31 +477,6 @@ TEST(ThreadPool, RunChunksRunsEveryChunkOnceAndOwnsItsException) {
   pool.run_chunks(0, [](std::size_t) { FAIL() << "no chunk to run"; });
 }
 
-TEST(ApplyJobsFlag, ParsesValidAndRejectsMalformed) {
-  const char* good[] = {"prog", "--table=3", "--jobs=3"};
-  EXPECT_EQ(engine::apply_jobs_flag(3, const_cast<char**>(good)), 3);
-  EXPECT_EQ(engine::default_evaluator().jobs(), 3);
-
-  const char* absent[] = {"prog", "--verbose"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(absent)), 0);
-
-  // --jobs=0 means "every hardware thread" on every binary (the cli::
-  // wrapper shares these semantics).
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int want_hw = hw > 0 ? static_cast<int>(hw) : 1;
-  const char* zero[] = {"prog", "--jobs=0"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(zero)), want_hw);
-  EXPECT_EQ(engine::default_evaluator().jobs(), want_hw);
-
-  const char* junk[] = {"prog", "--jobs=abc"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(junk)), 0);
-
-  const char* trailing[] = {"prog", "--jobs=4x"};
-  EXPECT_EQ(engine::apply_jobs_flag(2, const_cast<char**>(trailing)), 0);
-
-  engine::set_default_jobs(engine::default_jobs());  // restore for later tests
-}
-
 TEST(DefaultEvaluator, RetiredEvaluatorsReleaseTheirThreads) {
   const engine::RequestSet set = mixed_set();
   const auto base = make(1, 0).evaluate(set);

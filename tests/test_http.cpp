@@ -10,11 +10,6 @@
 // request line → 400 + close, connection limit → 503 + Retry-After) and
 // the drain contract (SIGTERM mid-chunked-response answers every item).
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -27,6 +22,7 @@
 
 #include "http/message.hpp"
 #include "http/parser.hpp"
+#include "net/loopback.hpp"
 #include "net/net.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -225,119 +221,12 @@ TEST(HttpResponseParser, EofBodyCompletesOnFinishEof) {
 
 // --- server integration ---------------------------------------------------
 
-/// A Service + Server with the HTTP listener enabled, loop on a
-/// background thread.  Mirrors test_net's LoopbackServer.
-struct HttpServer {
-  serve::Service service;
-  net::Server server;
-  std::ostringstream log;
-  std::thread loop;
-
-  explicit HttpServer(net::ServerOptions nopts = with_http(),
-                      serve::Service::Options sopts = one_job())
-      : service(std::move(sopts)), server(service, nopts) {
-    server.open(log);
-    loop = std::thread([this] { server.run(log); });
-  }
-
-  ~HttpServer() {
-    server.stop();
-    if (loop.joinable()) loop.join();
-  }
-
-  static net::ServerOptions with_http() {
-    net::ServerOptions o;
-    o.http = true;
-    return o;
-  }
-
-  static serve::Service::Options one_job() {
-    serve::Service::Options o;
-    o.jobs = 1;
-    return o;
-  }
-
-  template <typename Pred>
-  bool wait_for(Pred pred, std::chrono::milliseconds budget = 5000ms) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (pred(server.stats())) return true;
-      std::this_thread::sleep_for(2ms);
-    }
-    return pred(server.stats());
-  }
-};
-
-/// Minimal blocking test client with a receive timeout.
-struct Client {
-  int fd = -1;
-  std::string buffered;
-
-  explicit Client(std::uint16_t port) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return;
-    timeval tv{5, 0};
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  [[nodiscard]] bool connected() const { return fd >= 0; }
-
-  bool send_all(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  /// Feeds the socket into `rp` until one response completes (or the
-  /// peer hangs up, which completes EOF-framed bodies).  Leftover bytes
-  /// stay in `buffered` for the next pipelined response.
-  bool recv_response(http::ResponseParser& rp) {
-    while (!rp.complete() && !rp.failed()) {
-      if (!buffered.empty()) {
-        const std::size_t used = rp.feed(buffered);
-        buffered.erase(0, used);
-        if (used > 0) continue;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) {
-        rp.finish_eof();
-        break;
-      }
-      buffered.append(chunk, static_cast<std::size_t>(n));
-    }
-    return rp.complete();
-  }
-
-  /// True when the server closed the connection (EOF within the receive
-  /// timeout, no further bytes).
-  bool at_eof() {
-    char chunk[256];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    return n == 0;
-  }
-};
+/// Server options with the HTTP listener enabled next to the raw one.
+net::ServerOptions with_http() {
+  net::ServerOptions o;
+  o.http = true;
+  return o;
+}
 
 std::string predict_line(const std::string& id, int cores) {
   return "{\"id\": \"" + id + "\", \"machine\": \"sg2044\", \"kernel\": "
@@ -357,8 +246,8 @@ std::string http_post(const std::string& body) {
 }
 
 TEST(HttpServer_, SinglePredictAnswersFixedLength) {
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all(http_post(predict_line("one", 16))));
   http::ResponseParser rp;
@@ -371,8 +260,8 @@ TEST(HttpServer_, SinglePredictAnswersFixedLength) {
 }
 
 TEST(HttpServer_, RequestSplitAcrossManySocketWrites) {
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   const std::string req = http_post(predict_line("split", 8));
   // Dribble the request a few bytes per send with pauses, so the server
@@ -388,8 +277,8 @@ TEST(HttpServer_, RequestSplitAcrossManySocketWrites) {
 }
 
 TEST(HttpServer_, PipelinedKeepAliveAnswersInOrder) {
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   std::string burst;
   constexpr int kN = 5;
@@ -408,8 +297,8 @@ TEST(HttpServer_, PipelinedKeepAliveAnswersInOrder) {
 }
 
 TEST(HttpServer_, BatchBodyStreamsBackChunked) {
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   std::string body;
   for (int i = 0; i < 3; ++i) {
@@ -432,8 +321,8 @@ TEST(HttpServer_, BatchBodyStreamsBackChunked) {
 }
 
 TEST(HttpServer_, MalformedRequestLineGets400AndClose) {
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all("NOT A REQUEST LINE AT ALL\r\n\r\n"));
   http::ResponseParser rp;
@@ -445,10 +334,10 @@ TEST(HttpServer_, MalformedRequestLineGets400AndClose) {
 }
 
 TEST(HttpServer_, OversizedBodyGets413AndClose) {
-  net::ServerOptions nopts = HttpServer::with_http();
+  net::ServerOptions nopts = with_http();
   nopts.max_body_bytes = 128;
-  HttpServer s(nopts);
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all(http_post(std::string(512, 'x'))));
   http::ResponseParser rp;
@@ -461,15 +350,15 @@ TEST(HttpServer_, OversizedBodyGets413AndClose) {
 }
 
 TEST(HttpServer_, ConnectionLimitGets503WithRetryAfter) {
-  net::ServerOptions nopts = HttpServer::with_http();
+  net::ServerOptions nopts = with_http();
   nopts.max_connections = 1;
-  HttpServer s(nopts);
-  Client held(s.server.http_port());
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient held(s.server.http_port());
   ASSERT_TRUE(held.connected());
   ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
     return st.accepted == 1;
   }));
-  Client refused(s.server.http_port());
+  net::LoopbackClient refused(s.server.http_port());
   ASSERT_TRUE(refused.connected());
   http::ResponseParser rp;
   ASSERT_TRUE(refused.recv_response(rp));
@@ -481,8 +370,8 @@ TEST(HttpServer_, ConnectionLimitGets503WithRetryAfter) {
 
 TEST(HttpServer_, MetricsRouteRendersLabelledCounters) {
   obs::set_metrics_enabled(true);
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   std::string burst = http_post(predict_line("m", 2));
   burst += "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n";
@@ -502,8 +391,8 @@ TEST(HttpServer_, MetricsRouteRendersLabelledCounters) {
 }
 
 TEST(HttpServer_, HealthzAndRouting) {
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   std::string burst =
       "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
@@ -530,8 +419,8 @@ TEST(HttpServer_, SigtermDrainFinishesChunkedResponseMidFlight) {
   {
     serve::Service::Options sopts;
     sopts.jobs = 2;
-    HttpServer s(HttpServer::with_http(), sopts);
-    Client cl(s.server.http_port());
+    net::LoopbackServer s(with_http(), sopts);
+    net::LoopbackClient cl(s.server.http_port());
     ASSERT_TRUE(cl.connected());
     constexpr int kN = 4;
     std::string body;
@@ -570,24 +459,15 @@ TEST(HttpServer_, SigtermDrainFinishesChunkedResponseMidFlight) {
 }
 
 TEST(HttpServer_, BothListenersShareOneServiceAndCache) {
-  HttpServer s;
+  net::LoopbackServer s(with_http());
   // Warm through the raw wire, hit through HTTP: one shared cache.
-  Client raw(s.server.port());
+  net::LoopbackClient raw(s.server.port());
   ASSERT_TRUE(raw.connected());
   ASSERT_TRUE(raw.send_all(predict_line("warm", 32)));
-  http::ResponseParser unused;  // raw wire: read the line directly
-  std::string line;
-  {
-    char chunk[4096];
-    while (line.find('\n') == std::string::npos) {
-      const ssize_t n = ::recv(raw.fd, chunk, sizeof(chunk), 0);
-      ASSERT_GT(n, 0);
-      line.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
+  ASSERT_FALSE(raw.recv_line().empty());
   const auto before = s.server.stats().dispatched;
 
-  Client cl(s.server.http_port());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all(http_post(predict_line("hit", 32))));
   http::ResponseParser rp;
@@ -599,26 +479,17 @@ TEST(HttpServer_, BothListenersShareOneServiceAndCache) {
 
 // --- HEAD requests --------------------------------------------------------
 
-/// Receives until `cl.buffered` holds one full response head, returns it
-/// (through the blank line) and leaves everything after it buffered.
-/// HEAD responses carry a Content-Length but no body, so ResponseParser
-/// would wait forever — raw bytes are the only honest way to read them.
-std::string recv_head(Client& cl) {
-  std::size_t end;
-  while ((end = cl.buffered.find("\r\n\r\n")) == std::string::npos) {
-    char chunk[4096];
-    const ssize_t n = ::recv(cl.fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return {};
-    cl.buffered.append(chunk, static_cast<std::size_t>(n));
-  }
-  std::string head = cl.buffered.substr(0, end + 4);
-  cl.buffered.erase(0, end + 4);
-  return head;
+/// One full response head (through the blank line); everything after it
+/// stays buffered.  HEAD responses carry a Content-Length but no body, so
+/// ResponseParser would wait forever — raw bytes are the only honest way
+/// to read them.
+std::string recv_head(net::LoopbackClient& cl) {
+  return cl.recv_until("\r\n\r\n");
 }
 
 TEST(HttpServer_, HeadHealthzMatchesGetHeadByteForByte) {
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all(
       "HEAD /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
@@ -636,20 +507,15 @@ TEST(HttpServer_, HeadHealthzMatchesGetHeadByteForByte) {
   const std::size_t cl_pos = get_head.find("Content-Length: ") + 16;
   const std::size_t want = std::stoul(get_head.substr(cl_pos));
   ASSERT_GT(want, 0u);
-  while (cl.buffered.size() < want) {
-    char chunk[4096];
-    const ssize_t n = ::recv(cl.fd, chunk, sizeof(chunk), 0);
-    ASSERT_GT(n, 0);
-    cl.buffered.append(chunk, static_cast<std::size_t>(n));
-  }
-  EXPECT_EQ(cl.buffered.size(), want);
-  EXPECT_EQ(obs::json::parse(cl.buffered).find("status")->str, "serving");
+  const std::string body = cl.recv_until("\n");  // JSON bodies end in '\n'
+  EXPECT_EQ(body.size(), want);
+  EXPECT_EQ(obs::json::parse(body).find("status")->str, "serving");
 }
 
 TEST(HttpServer_, HeadMetricsAnswersHeadersOnly) {
   obs::set_metrics_enabled(true);
-  HttpServer s;
-  Client cl(s.server.http_port());
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all(
       "HEAD /metrics HTTP/1.1\r\nHost: t\r\n\r\n"
@@ -670,14 +536,14 @@ TEST(HttpServer_, HeadMetricsAnswersHeadersOnly) {
 
 TEST(HttpServer_, SlowLorisHeadersAnswered408AndCounted) {
   obs::set_metrics_enabled(true);
-  net::ServerOptions nopts = HttpServer::with_http();
+  net::ServerOptions nopts = with_http();
   nopts.header_timeout_ms = 60;
   nopts.poll_interval_ms = 5;
-  HttpServer s(nopts);
+  net::LoopbackServer s(nopts);
 
   // A well-behaved keep-alive client: its requests complete, so however
   // long it idles between them the header deadline must never bite.
-  Client good(s.server.http_port());
+  net::LoopbackClient good(s.server.http_port());
   ASSERT_TRUE(good.connected());
   ASSERT_TRUE(good.send_all("GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"));
   http::ResponseParser ok;
@@ -686,7 +552,7 @@ TEST(HttpServer_, SlowLorisHeadersAnswered408AndCounted) {
 
   // The loris drips its header bytes forever without the closing blank
   // line; every drip would reset an idle timeout, but not this one.
-  Client loris(s.server.http_port());
+  net::LoopbackClient loris(s.server.http_port());
   ASSERT_TRUE(loris.connected());
   const std::string req = "GET /healthz HTTP/1.1\r\nHost: dribble\r\n";
   for (char c : req) {
@@ -708,7 +574,7 @@ TEST(HttpServer_, SlowLorisHeadersAnswered408AndCounted) {
   EXPECT_EQ(again.status(), 200);
 
   // ...and the scrape exposes the exact labeled counter.
-  Client m(s.server.http_port());
+  net::LoopbackClient m(s.server.http_port());
   ASSERT_TRUE(m.connected());
   ASSERT_TRUE(m.send_all("GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n"));
   http::ResponseParser metrics;

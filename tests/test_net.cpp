@@ -1,20 +1,20 @@
-// rvhpc::net — TCP transport for the prediction service.
+// rvhpc::net — the transport for the prediction service: TCP and stdio.
 //
 // The load-bearing guarantees: many concurrent clients each get exactly
 // their own responses (attributed by id) over one shared Service; a
 // misbehaving peer — oversized line, never-reading client, idle
 // connection, mid-request disconnect — costs bounded memory and a
-// structured goodbye, never a crash or a wedge; and SIGTERM drains like
-// the stdio loop does: buffered requests answered, cache flushed.
+// structured goodbye, never a crash or a wedge; SIGTERM drains:
+// buffered requests answered, cache flushed; and stdio, served as one
+// more shard connection, keeps the same admission, ordering and drain.
 //
-// Every test runs a real Server on an ephemeral loopback port with the
-// event loop on a background thread, and drives it with blocking client
-// sockets (5 s receive timeouts so a regression fails instead of
-// hanging).
+// Every socket test runs a real Server on an ephemeral loopback port with
+// the event loop on a background thread (net::LoopbackServer), and drives
+// it with blocking client sockets (net::LoopbackClient: 5 s receive
+// timeouts so a regression fails instead of hanging).  The stdio tests
+// serve the same shard loop over a pair of pipes.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/loopback.hpp"
 #include "net/net.hpp"
 #include "obs/json.hpp"
 #include "serve/persist.hpp"
@@ -48,121 +49,6 @@ struct TempFile {
     std::remove(path.c_str());
   }
   ~TempFile() { std::remove(path.c_str()); }
-};
-
-/// A Service + Server on an ephemeral loopback port, loop on a background
-/// thread.  Stops and joins on destruction.
-struct LoopbackServer {
-  serve::Service service;
-  net::Server server;
-  std::ostringstream log;
-  std::thread loop;
-
-  explicit LoopbackServer(net::ServerOptions nopts = {},
-                          serve::Service::Options sopts = one_job())
-      : service(std::move(sopts)), server(service, nopts) {
-    server.open(log);
-    loop = std::thread([this] { server.run(log); });
-  }
-
-  ~LoopbackServer() {
-    server.stop();
-    if (loop.joinable()) loop.join();
-  }
-
-  static serve::Service::Options one_job() {
-    serve::Service::Options o;
-    o.jobs = 1;
-    return o;
-  }
-
-  /// Waits (bounded) for `pred` over the server stats; false on timeout.
-  template <typename Pred>
-  bool wait_for(Pred pred, std::chrono::milliseconds budget = 5000ms) {
-    const auto deadline = std::chrono::steady_clock::now() + budget;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (pred(server.stats())) return true;
-      std::this_thread::sleep_for(2ms);
-    }
-    return pred(server.stats());
-  }
-};
-
-/// Minimal blocking test client with a receive timeout.
-struct Client {
-  int fd = -1;
-  std::string buffered;
-
-  explicit Client(std::uint16_t port, int rcvbuf = 0) {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return;
-    timeval tv{5, 0};
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    if (rcvbuf > 0) {
-      // Before connect(), so the shrunken window is what gets advertised.
-      (void)::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(port);
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) != 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  }
-
-  ~Client() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  [[nodiscard]] bool connected() const { return fd >= 0; }
-
-  /// Sends every byte; false once the server has hung up on us.
-  bool send_all(const std::string& bytes) {
-    std::size_t off = 0;
-    while (off < bytes.size()) {
-      const ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                               MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        return false;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  void shutdown_write() const { (void)::shutdown(fd, SHUT_WR); }
-
-  /// One response line (without '\n'), or empty on EOF/timeout.
-  std::string recv_line() {
-    while (true) {
-      const std::size_t nl = buffered.find('\n');
-      if (nl != std::string::npos) {
-        std::string line = buffered.substr(0, nl);
-        buffered.erase(0, nl + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
-      buffered.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  /// Reads until the server closes; returns everything (with newlines).
-  std::string recv_until_eof() {
-    std::string all = std::move(buffered);
-    buffered.clear();
-    char chunk[4096];
-    while (true) {
-      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) return all;
-      all.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
 };
 
 std::string request_line(const std::string& id, const std::string& kernel,
@@ -192,7 +78,7 @@ TEST(NetListener, PortCollisionThrowsInsteadOfServingBlind) {
 // --- concurrent clients ---------------------------------------------------
 
 TEST(NetServer, FourConcurrentClientsGetTheirOwnResponses) {
-  LoopbackServer s;
+  net::LoopbackServer s;
   constexpr int kClients = 4;
   constexpr int kRequests = 6;
   std::atomic<int> failures{0};
@@ -200,7 +86,7 @@ TEST(NetServer, FourConcurrentClientsGetTheirOwnResponses) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      Client cl(s.server.port());
+      net::LoopbackClient cl(s.server.port());
       if (!cl.connected()) {
         ++failures;
         return;
@@ -243,8 +129,8 @@ TEST(NetServer, IntervalBackendOverTcpIsDistinctAndSeparatelyCached) {
   // The ISSUE 7 acceptance path: a client sending backend=interval over
   // TCP must get the interval mechanism's answer, keyed separately from
   // the analytic twin it just warmed the shared cache with.
-  LoopbackServer s;
-  Client cl(s.server.port());
+  net::LoopbackServer s;
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
 
   const std::string point =
@@ -275,8 +161,8 @@ TEST(NetServer, IntervalBackendOverTcpIsDistinctAndSeparatelyCached) {
 TEST(NetServer, PipelinedClientDrainsOnHalfClose) {
   // The rvhpc-client protocol: send everything, shutdown the write side,
   // read until EOF.  Every non-blank line must be answered.
-  LoopbackServer s;
-  Client cl(s.server.port());
+  net::LoopbackServer s;
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
   std::string batch;
   for (int r = 0; r < 5; ++r) {
@@ -307,8 +193,8 @@ TEST(NetServer, OversizedLineAnswersOverloadedAndDisconnects) {
   net::ServerOptions nopts;
   nopts.max_line_bytes = 256;
   nopts.poll_interval_ms = 10;
-  LoopbackServer s(nopts);
-  Client cl(s.server.port());
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all(std::string(600, 'x')));  // no newline, ever
 
@@ -330,8 +216,8 @@ TEST(NetServer, SlowReaderIsDisconnectedWithBoundedMemory) {
   nopts.max_write_buffer = 1024;  // ~3 responses
   nopts.so_sndbuf = 4096;  // keep the kernel from absorbing the pile-up
   nopts.poll_interval_ms = 10;
-  LoopbackServer s(nopts);
-  Client cl(s.server.port(), /*rcvbuf=*/4096);
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient cl(s.server.port(), 5s, /*rcvbuf=*/4096);
   ASSERT_TRUE(cl.connected());
 
   // 300 requests (one predict, the rest cache hits), never reading a
@@ -352,7 +238,7 @@ TEST(NetServer, SlowReaderIsDisconnectedWithBoundedMemory) {
   EXPECT_LT(stats.answered, 300u) << "the bound must trip before all 300";
 
   // The server is still healthy for a well-behaved client.
-  Client good(s.server.port());
+  net::LoopbackClient good(s.server.port());
   ASSERT_TRUE(good.connected());
   ASSERT_TRUE(good.send_all(request_line("ok", "CG", 64)));
   const obs::json::Value v = obs::json::parse(good.recv_line());
@@ -366,8 +252,8 @@ TEST(NetServer, IdleConnectionIsToldTimeoutAndClosed) {
   net::ServerOptions nopts;
   nopts.idle_timeout_ms = 50;
   nopts.poll_interval_ms = 10;
-  LoopbackServer s(nopts);
-  Client cl(s.server.port());
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
   // Send nothing: the farewell and EOF arrive on their own.
   const std::string line = cl.recv_line();
@@ -385,8 +271,8 @@ TEST(NetServer, SlowLorisPartialLineHitsHeaderDeadlineNotIdle) {
   nopts.idle_timeout_ms = 2000;  // generous: every drip resets it
   nopts.header_timeout_ms = 60;  // the deadline actually under test
   nopts.poll_interval_ms = 5;
-  LoopbackServer s(nopts);
-  Client cl(s.server.port());
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
   // Drip a request one byte at a time, never sending the newline: the
   // idle clock restarts on every byte, but the partial-request clock
@@ -410,9 +296,9 @@ TEST(NetServer, SlowLorisPartialLineHitsHeaderDeadlineNotIdle) {
 // --- misbehaving peers ----------------------------------------------------
 
 TEST(NetServer, MidRequestDisconnectDiscardsThePartialLine) {
-  LoopbackServer s;
+  net::LoopbackServer s;
   {
-    Client cl(s.server.port());
+    net::LoopbackClient cl(s.server.port());
     ASSERT_TRUE(cl.connected());
     ASSERT_TRUE(cl.send_all(R"({"id": "half", "machine": "sg20)"));
   }  // gone mid-request, no newline
@@ -422,7 +308,7 @@ TEST(NetServer, MidRequestDisconnectDiscardsThePartialLine) {
   EXPECT_EQ(s.service.stats().received, 0u)
       << "a partial line must be discarded, not parsed";
 
-  Client next(s.server.port());
+  net::LoopbackClient next(s.server.port());
   ASSERT_TRUE(next.connected());
   ASSERT_TRUE(next.send_all(request_line("whole", "CG", 32)));
   EXPECT_EQ(obs::json::parse(next.recv_line()).find("id")->str, "whole");
@@ -432,15 +318,15 @@ TEST(NetServer, ConnectionsPastTheCapAreRefusedPolitely) {
   net::ServerOptions nopts;
   nopts.max_connections = 1;
   nopts.poll_interval_ms = 10;
-  LoopbackServer s(nopts);
-  Client first(s.server.port());
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient first(s.server.port());
   ASSERT_TRUE(first.connected());
   // A full round-trip guarantees the server registered `first` before the
   // second connect arrives.
   ASSERT_TRUE(first.send_all(request_line("one", "CG", 16)));
   ASSERT_FALSE(first.recv_line().empty());
 
-  Client second(s.server.port());
+  net::LoopbackClient second(s.server.port());
   ASSERT_TRUE(second.connected()) << "the kernel accepts; the server refuses";
   const obs::json::Value v = obs::json::parse(second.recv_line());
   EXPECT_EQ(v.find("error")->str, "overloaded");
@@ -457,11 +343,11 @@ TEST(NetServer, SigtermDrainsAndFlushesThePersistentCache) {
   serve::install_shutdown_handlers();
   serve::reset_shutdown();
 
-  serve::Service::Options sopts = LoopbackServer::one_job();
+  serve::Service::Options sopts = net::LoopbackServer::one_job();
   sopts.cache_file = cache.path;
   {
-    LoopbackServer s({}, sopts);
-    Client cl(s.server.port());
+    net::LoopbackServer s({}, sopts);
+    net::LoopbackClient cl(s.server.port());
     ASSERT_TRUE(cl.connected());
     for (int r = 0; r < 3; ++r) {
       ASSERT_TRUE(cl.send_all(request_line("d" + std::to_string(r), "CG",
@@ -487,8 +373,8 @@ TEST(NetServer, SigtermDrainsAndFlushesThePersistentCache) {
 TEST(NetServer, StopAnswersBufferedRequestsBeforeClosing) {
   net::ServerOptions nopts;
   nopts.poll_interval_ms = 10;
-  LoopbackServer s(nopts);
-  Client cl(s.server.port());
+  net::LoopbackServer s(nopts);
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
   std::string batch;
   for (int r = 0; r < 4; ++r) {
@@ -529,15 +415,15 @@ TEST(NetServer, SlowUncachedRequestDoesNotStallCachedPeer) {
   sopts.jobs = 2;
   net::ServerOptions nopts;
   nopts.shards = 2;
-  LoopbackServer s(nopts, sopts);
+  net::LoopbackServer s(nopts, sopts);
 
-  Client warm(s.server.port());
+  net::LoopbackClient warm(s.server.port());
   ASSERT_TRUE(warm.connected());
   ASSERT_TRUE(warm.send_all(request_line("w", "MG", 8)));
   ASSERT_FALSE(warm.recv_line().empty());
 
-  Client slow(s.server.port());
-  Client hits(s.server.port());
+  net::LoopbackClient slow(s.server.port());
+  net::LoopbackClient hits(s.server.port());
   ASSERT_TRUE(slow.connected());
   ASSERT_TRUE(hits.connected());
 
@@ -588,8 +474,8 @@ TEST(NetServer, OutOfOrderIdsWithinOneConnection) {
   // One pool thread, one shard: while the pool is busy with the slow
   // request, the shard keeps admitting and answering the cached lines
   // behind it — id-carrying responses may overtake.
-  LoopbackServer s;
-  Client cl(s.server.port());
+  net::LoopbackServer s;
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
   for (int i = 0; i < 4; ++i) {  // warm the hit keys
     ASSERT_TRUE(cl.send_all(request_line("w" + std::to_string(i), "MG", 1 << i)));
@@ -619,8 +505,8 @@ TEST(NetServer, IdLessResponsesStayInRequestOrder) {
   // in-order contract holds even when a later request finishes first.
   serve::Service::Options sopts;
   sopts.jobs = 2;
-  LoopbackServer s({}, sopts);
-  Client cl(s.server.port());
+  net::LoopbackServer s({}, sopts);
+  net::LoopbackClient cl(s.server.port());
   ASSERT_TRUE(cl.connected());
   ASSERT_TRUE(cl.send_all(request_line("w", "MG", 8)));
   ASSERT_FALSE(cl.recv_line().empty());
@@ -649,8 +535,8 @@ TEST(NetServer, SigtermDrainAnswersInFlightComputes) {
   {
     serve::Service::Options sopts;
     sopts.jobs = 2;
-    LoopbackServer s({}, sopts);
-    Client cl(s.server.port());
+    net::LoopbackServer s({}, sopts);
+    net::LoopbackClient cl(s.server.port());
     ASSERT_TRUE(cl.connected());
     std::string batch;
     for (int i = 0; i < 4; ++i) {
@@ -687,13 +573,14 @@ TEST(NetServer, SigtermDrainAnswersInFlightComputes) {
 TEST(NetServer, ShardFairnessAcrossTwoShards) {
   net::ServerOptions nopts;
   nopts.shards = 2;
-  LoopbackServer s(nopts);
+  net::LoopbackServer s(nopts);
 
   // Four connections held open together: round-robin dealing must give
   // each shard exactly two, and both shards must answer requests.
-  std::vector<std::unique_ptr<Client>> clients;
+  std::vector<std::unique_ptr<net::LoopbackClient>> clients;
   for (int c = 0; c < 4; ++c) {
-    clients.push_back(std::make_unique<Client>(s.server.port()));
+    clients.push_back(
+        std::make_unique<net::LoopbackClient>(s.server.port()));
     ASSERT_TRUE(clients.back()->connected());
     const std::string id = "c" + std::to_string(c);
     ASSERT_TRUE(clients.back()->send_all(request_line(id, "CG", 8 + c)));
@@ -709,6 +596,181 @@ TEST(NetServer, ShardFairnessAcrossTwoShards) {
   EXPECT_GT(stats.shard_answered[0], 0u);
   EXPECT_GT(stats.shard_answered[1], 0u);
   EXPECT_EQ(stats.shard_answered[0] + stats.shard_answered[1], 4u);
+}
+
+// --- stdio: the same shard loop over a pair of pipes ---------------------
+
+/// Writes every byte unless the reader is gone (EPIPE: the Server
+/// ignores SIGPIPE for the whole process).
+void write_all(int fd, const std::string& bytes) {
+  std::size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return;
+    off += static_cast<std::size_t>(n);
+  }
+}
+
+/// One Server::run_stdio session over two pipes, the way rvhpc-serve
+/// --listen=stdio runs it over fds 0 and 1: a writer thread feeds `input`
+/// to the server's stdin (then closes it, unless `keep_input_open`), a
+/// reader thread copies its stdout into `out`.
+net::ServerStats serve_stdio(serve::Service& svc, const std::string& input,
+                             std::ostream& out, std::ostream& log,
+                             bool keep_input_open = false) {
+  int in[2];
+  int res[2];
+  if (::pipe(in) != 0) return {};
+  if (::pipe(res) != 0) return {};
+  std::thread writer([&] {
+    write_all(in[1], input);
+    if (!keep_input_open) ::close(in[1]);
+  });
+  std::string output;
+  std::thread reader([&] {
+    char chunk[4096];
+    ssize_t n = 0;
+    while ((n = ::read(res[0], chunk, sizeof(chunk))) > 0) {
+      output.append(chunk, static_cast<std::size_t>(n));
+    }
+  });
+  net::Server server(svc, {});
+  server.run_stdio(in[0], res[1], log);
+  // run_stdio never closes what it borrows: closing the write end is the
+  // reader's EOF, closing the read end frees a writer the server stopped
+  // reading.
+  ::close(res[1]);
+  ::close(in[0]);
+  writer.join();
+  reader.join();
+  if (keep_input_open) ::close(in[1]);
+  ::close(res[0]);
+  out << output;
+  return server.stats();
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+TEST(Service, FullBacklogAnswersOverloaded) {
+  serve::Service::Options opts = net::LoopbackServer::one_job();
+  opts.queue_capacity = 0;  // reject everything: deterministic drill
+  serve::Service svc(opts);
+  std::ostringstream out, log;
+  serve_stdio(svc,
+              R"({"id": "o", "machine": "sg2044", "kernel": "CG", "cores": 4})"
+              "\n",
+              out, log);
+  const auto v = obs::json::parse(out.str());
+  EXPECT_EQ(v.find("status")->str, "error");
+  EXPECT_EQ(v.find("error")->str, "overloaded");
+  EXPECT_EQ(svc.stats().overloaded, 1u);
+}
+
+TEST(Service, RunAnswersEveryLineAndDrains) {
+  serve::Service::Options opts = net::LoopbackServer::one_job();
+  opts.jobs = 2;
+  serve::Service svc(opts);
+  std::ostringstream out, log;
+  serve_stdio(svc,
+              R"({"id": "1", "machine": "sg2044", "kernel": "CG", "cores": 64})"
+              "\n"
+              "\n"  // blank lines are skipped, not answered
+              "garbage\n"
+              R"({"id": "3", "machine": "sg2042", "kernel": "EP", "cores": 16})"
+              "\n",
+              out, log);
+
+  std::istringstream lines(out.str());
+  std::string line;
+  std::size_t count = 0;
+  while (std::getline(lines, line)) {
+    ++count;
+    EXPECT_NO_THROW((void)obs::json::parse(line)) << line;
+  }
+  EXPECT_EQ(count, 3u) << "every non-blank request line gets one response";
+  EXPECT_EQ(svc.stats().received, 3u);
+  EXPECT_EQ(svc.stats().ok, 2u);
+  EXPECT_EQ(svc.stats().parse_errors, 1u);
+  EXPECT_NE(log.str().find("drained"), std::string::npos);
+}
+
+TEST(NetStdio, IdLessResponsesComeBackInRequestOrder) {
+  // The ordering contract DESIGN §13.2 states for every transport: a slow
+  // id-less request holds back the cached id-less one behind it, even
+  // with a second worker free to finish the cached one first.
+  serve::Service::Options sopts;
+  sopts.jobs = 2;
+  serve::Service svc(sopts);
+  (void)svc.handle_line(request_line("warm", "MG", 8));
+  std::ostringstream out, log;
+  serve_stdio(svc, slow_line(/*id=*/"", 64) + request_line("", "MG", 8), out,
+              log);
+
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 2u) << out.str();
+  EXPECT_EQ(obs::json::parse(lines[0]).find("backend")->str, "interval");
+  EXPECT_EQ(obs::json::parse(lines[1]).find("backend")->str, "analytic");
+  EXPECT_EQ(obs::json::parse(lines[1]).find("cache")->str, "hit");
+}
+
+TEST(NetStdio, OversizedLineAnswersOverloadedAndEndsTheSession) {
+  serve::Service svc(net::LoopbackServer::one_job());
+  std::ostringstream out, log;
+  // Input stays open after the 200 KB line: only the line bound can end
+  // this session, and the valid request behind the line is never read.
+  const net::ServerStats stats =
+      serve_stdio(svc, std::string(200 * 1024, 'x') + "\n" +
+                           request_line("after", "CG", 8),
+                  out, log, /*keep_input_open=*/true);
+
+  const std::vector<std::string> lines = lines_of(out.str());
+  ASSERT_EQ(lines.size(), 1u) << out.str();
+  EXPECT_EQ(obs::json::parse(lines[0]).find("error")->str, "overloaded");
+  EXPECT_EQ(stats.disconnect_oversize, 1u);
+  EXPECT_EQ(svc.stats().received, 0u)
+      << "an oversized line is rejected by the transport, not the service";
+}
+
+TEST(NetStdio, ReaderGoneEndsTheSessionAndCheckpoints) {
+  // `rvhpc-serve --listen=stdio | head -n 1`: the reader leaves after one
+  // line.  The write fails with EPIPE instead of raising SIGPIPE, the
+  // session drains, and the cache still reaches disk.
+  TempFile cache("test_net_stdio_reader_gone.tmp.bin");
+  serve::Service::Options sopts = net::LoopbackServer::one_job();
+  sopts.cache_file = cache.path;
+  serve::Service svc(sopts);
+  int in[2];
+  int res[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(res), 0);
+  write_all(in[1], request_line("gone", "CG", 64));  // fits the pipe buffer
+  ::close(res[0]);
+
+  std::ostringstream log;
+  {
+    net::Server server(svc, {});
+    server.run_stdio(in[0], res[1], log);  // stdin stays open throughout
+    EXPECT_EQ(server.stats().disconnect_error, 1u);
+  }
+  // Borrowed, not owned: both fds are still open, blocking again.
+  EXPECT_EQ(::fcntl(in[0], F_GETFL) & O_NONBLOCK, 0);
+  EXPECT_EQ(::fcntl(res[1], F_GETFL) & O_NONBLOCK, 0);
+  ::close(in[0]);
+  ::close(in[1]);
+  ::close(res[1]);
+
+  EXPECT_NE(log.str().find("net: drained"), std::string::npos);
+  engine::PredictionCache loaded(16);
+  const serve::LoadResult r = serve::load_cache(cache.path, loaded);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.restored, 1u);
 }
 
 }  // namespace
