@@ -26,13 +26,16 @@ PredictionCache::PredictionCache(std::size_t capacity) : capacity_(capacity) {}
 
 // rvhpc: hot-path begin — engine memo lookup: every batched request pays
 // this on the warm path, so it must stay allocation-free (S1xx guards it).
-std::optional<model::Prediction> PredictionCache::get(std::uint64_t key) {
+std::optional<model::Prediction> PredictionCache::lookup(std::uint64_t key,
+                                                         bool count_miss) {
   if (capacity_ == 0) return std::nullopt;
   std::lock_guard lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++misses_;
-    count_cache_event("miss");
+    if (count_miss) {
+      ++misses_;
+      count_cache_event("miss");
+    }
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);
@@ -42,10 +45,12 @@ std::optional<model::Prediction> PredictionCache::get(std::uint64_t key) {
 }
 // rvhpc: hot-path end
 
-bool PredictionCache::contains(std::uint64_t key) const {
-  if (capacity_ == 0) return false;
-  std::lock_guard lock(mu_);
-  return index_.count(key) > 0;
+std::optional<model::Prediction> PredictionCache::get(std::uint64_t key) {
+  return lookup(key, /*count_miss=*/true);
+}
+
+std::optional<model::Prediction> PredictionCache::find(std::uint64_t key) {
+  return lookup(key, /*count_miss=*/false);
 }
 
 void PredictionCache::put(std::uint64_t key, const model::Prediction& p) {

@@ -41,11 +41,11 @@ class PredictionCache {
   /// The cached prediction for `key`, refreshing its LRU position.
   [[nodiscard]] std::optional<model::Prediction> get(std::uint64_t key);
 
-  /// Whether `key` is resident, with no side effects: no LRU refresh, no
-  /// hit/miss accounting.  The serving front end probes this at dispatch
-  /// time to complete warm requests inline instead of paying a pool
-  /// handoff; the authoritative lookup is still the later get().
-  [[nodiscard]] bool contains(std::uint64_t key) const;
+  /// As get(), except that a miss is not counted.  The serving front end
+  /// probes with find() on its event loop and answers a hit inline, in
+  /// one lookup; a miss goes to the compute pool, whose get() is the
+  /// lookup that counts it.
+  [[nodiscard]] std::optional<model::Prediction> find(std::uint64_t key);
 
   /// Inserts (or refreshes) `key`; evicts the least-recently-used entry
   /// when full.
@@ -77,6 +77,8 @@ class PredictionCache {
     std::uint64_t key;
     model::Prediction prediction;
   };
+
+  std::optional<model::Prediction> lookup(std::uint64_t key, bool count_miss);
 
   mutable std::mutex mu_;
   std::size_t capacity_;

@@ -180,20 +180,6 @@ void hash_signature(Fnv1a& h, const model::WorkloadSignature& s) {
   h.f64(s.imbalance_coeff);
 }
 
-std::uint64_t request_key(const arch::MachineModel& m,
-                          const model::WorkloadSignature& sig,
-                          const model::RunConfig& cfg, Backend backend) {
-  Fnv1a h;
-  hash_machine(h, m);
-  hash_signature(h, sig);
-  h.i(cfg.cores);
-  h.i(static_cast<int>(cfg.compiler.id));
-  h.b(cfg.compiler.vectorise);
-  h.i(static_cast<int>(cfg.placement));
-  h.i(static_cast<int>(backend));
-  return h.h;
-}
-
 }  // namespace
 
 std::string to_string(Backend b) {
@@ -217,6 +203,22 @@ std::uint64_t machine_fingerprint(const arch::MachineModel& m) {
   return h.h;
 }
 
+std::uint64_t request_key(std::uint64_t machine_fp,
+                          const model::WorkloadSignature& sig,
+                          const model::RunConfig& cfg, Backend backend) {
+  // The fingerprint is the FNV state after the machine's fields, so
+  // continuing the stream from it hashes exactly what one pass over
+  // (machine, signature, config, backend) would.
+  Fnv1a h{machine_fp};
+  hash_signature(h, sig);
+  h.i(cfg.cores);
+  h.i(static_cast<int>(cfg.compiler.id));
+  h.b(cfg.compiler.vectorise);
+  h.i(static_cast<int>(cfg.placement));
+  h.i(static_cast<int>(backend));
+  return h.h;
+}
+
 PredictionRequest::PredictionRequest(arch::MachineModel machine,
                                      model::WorkloadSignature sig,
                                      model::RunConfig cfg, std::string tag,
@@ -226,7 +228,8 @@ PredictionRequest::PredictionRequest(arch::MachineModel machine,
       config_(cfg),
       tag_(std::move(tag)),
       backend_(backend),
-      key_(request_key(machine_, signature_, config_, backend_)) {}
+      key_(request_key(machine_fingerprint(machine_), signature_, config_,
+                       backend_)) {}
 
 void RequestSet::add(arch::MachineModel machine, model::WorkloadSignature sig,
                      model::RunConfig cfg, std::string tag) {

@@ -47,6 +47,16 @@ enum class Backend : std::uint8_t {
 /// never alias a registry entry in the memo cache.
 [[nodiscard]] std::uint64_t machine_fingerprint(const arch::MachineModel& m);
 
+/// The memo key of (machine, signature, config, backend), given the
+/// machine's machine_fingerprint().  Bit-identical to
+/// PredictionRequest::key(), which goes through it; callers that see the
+/// same machine on every request (the service's registry machines)
+/// fingerprint it once and skip re-hashing every machine field per key.
+[[nodiscard]] std::uint64_t request_key(std::uint64_t machine_fp,
+                                        const model::WorkloadSignature& sig,
+                                        const model::RunConfig& cfg,
+                                        Backend backend);
+
 /// One point of a sweep, as an immutable value.
 class PredictionRequest {
  public:

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <condition_variable>
 #include <csignal>
@@ -15,6 +16,8 @@
 #include <deque>
 #include <future>
 #include <iostream>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <streambuf>
 #include <thread>
@@ -287,6 +290,29 @@ void Listener::close() {
 
 namespace detail {
 
+// --- counters ----------------------------------------------------------------
+
+constexpr std::size_t kDisconnectCauses =
+    static_cast<std::size_t>(Disconnect::HeaderTimeout) + 1;
+
+/// One shard's share of ServerStats as relaxed atomics, on its own cache
+/// line: a request is counted without a lock and without touching another
+/// shard's line, and Server::stats() sums the shards.  `connections` is
+/// written by the acceptor, everything else by the owning shard's thread.
+struct alignas(64) ShardCounters {
+  std::atomic<std::uint64_t> connections{0};
+  std::atomic<std::uint64_t> answered{0};
+  std::atomic<std::uint64_t> dispatched{0};
+  std::atomic<std::uint64_t> bytes_in{0};
+  std::atomic<std::uint64_t> bytes_out{0};
+  std::atomic<std::uint64_t> http_requests{0};
+  std::array<std::atomic<std::uint64_t>, kDisconnectCauses> disconnects{};
+};
+
+void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
+  c.fetch_add(n, std::memory_order_relaxed);
+}
+
 // --- per-connection state (owned exclusively by one shard) ----------------
 
 /// One admitted request awaiting delivery.  `ordered` requests (no "id" on
@@ -515,6 +541,7 @@ class Shard {
 
   Server& server_;
   const std::size_t index_;
+  ShardCounters& counters_;  ///< this shard's slot of Server::counters_
   int wake_fds_[2] = {-1, -1};  ///< [0] read end (polled), [1] write end
   std::thread thread_;
   std::atomic<bool> stop_{false};
@@ -535,7 +562,7 @@ class Shard {
 };
 
 Shard::Shard(Server& server, std::size_t index)
-    : server_(server), index_(index) {
+    : server_(server), index_(index), counters_(server.counters_[index]) {
   if (::pipe(wake_fds_) == 0) {
     set_nonblocking(wake_fds_[0]);
     set_nonblocking(wake_fds_[1]);
@@ -682,19 +709,7 @@ void Shard::close_now(Connection& c, Disconnect cause) {
   release_fds(c);
   server_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
   count_disconnect(cause);
-  std::lock_guard lock(server_.stats_mu_);
-  switch (cause) {
-    case Disconnect::Eof:        ++server_.stats_.disconnect_eof; break;
-    case Disconnect::Idle:       ++server_.stats_.disconnect_idle; break;
-    case Disconnect::Oversize:   ++server_.stats_.disconnect_oversize; break;
-    case Disconnect::SlowReader: ++server_.stats_.disconnect_slow_reader; break;
-    case Disconnect::Refused:    ++server_.stats_.disconnect_refused; break;
-    case Disconnect::Error:      ++server_.stats_.disconnect_error; break;
-    case Disconnect::Drained:    ++server_.stats_.disconnect_drained; break;
-    case Disconnect::HeaderTimeout:
-      ++server_.stats_.disconnect_header_timeout;
-      break;
-  }
+  bump(counters_.disconnects[static_cast<std::size_t>(cause)]);
 }
 
 void Shard::read_ready(Connection& c) {
@@ -706,8 +721,11 @@ void Shard::read_ready(Connection& c) {
       c.rbuf.append(chunk, static_cast<std::size_t>(n));
       c.last_read_us = now_us();
       count_bytes(true, static_cast<std::uint64_t>(n));
-      std::lock_guard lock(server_.stats_mu_);
-      server_.stats_.bytes_in += static_cast<std::uint64_t>(n);
+      bump(counters_.bytes_in, static_cast<std::uint64_t>(n));
+      // A short read emptied the kernel buffer: poll() is level-triggered
+      // and reports whatever arrives next, so a read that would only
+      // answer EAGAIN is not worth a syscall.
+      if (static_cast<std::size_t>(n) < sizeof(chunk)) return;
     } else if (n == 0) {
       // EOF: the client is done sending.  Its buffered complete lines are
       // still answered; a trailing partial line is discarded on a socket
@@ -813,12 +831,13 @@ Pending Shard::evaluate_line(const std::shared_ptr<Connection>& cp,
     p.response = std::move(adm.response);
     return p;
   }
-  if (server_.service_.cached(*adm.request)) {
-    // Warm path: a memo probe answers inline on the event loop — cheaper
+  if (std::optional<std::string> warm = server_.service_.complete_if_cached(
+          *adm.request, adm.arrival_us)) {
+    // Warm path: one memo probe answers inline on the event loop — cheaper
     // than a pool handoff, and it is what keeps cached hits flowing on
     // every connection while uncached requests compute.
     p.done = true;
-    p.response = server_.service_.complete(*adm.request, adm.arrival_us);
+    p.response = *std::move(warm);
     if (server_.service_.note_evaluation() && server_.flusher_) {
       server_.flusher_->notify();
     }
@@ -841,10 +860,7 @@ void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
   const std::uint64_t seq = p.seq;
 
   server_.inflight_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard lock(server_.stats_mu_);
-    ++server_.stats_.dispatched;
-  }
+  bump(counters_.dispatched);
   std::weak_ptr<Connection> wk = cp;
   server_.pool_->submit([this, task, wk = std::move(wk), seq] {
     (*task)();
@@ -988,10 +1004,7 @@ void Shard::fail_http(Connection& c, http::Error err) {
                     "application/json", body.size());
   farewell += body;
   count_http("other", status);
-  {
-    std::lock_guard lock(server_.stats_mu_);
-    ++server_.stats_.http_requests;
-  }
+  bump(counters_.http_requests);
   begin_close(c,
               (status == 413 || status == 431) ? Disconnect::Oversize
                                                : Disconnect::Error,
@@ -1002,8 +1015,7 @@ void Shard::finish_exchange(Connection& c, const HttpExchange& ex) {
   (void)c;
   count_http(ex.route, ex.status);
   observe_http_duration(ex.start_us);
-  std::lock_guard lock(server_.stats_mu_);
-  ++server_.stats_.http_requests;
+  bump(counters_.http_requests);
 }
 
 /// Writes whatever the front exchange can deliver.  Exchanges answer in
@@ -1139,9 +1151,7 @@ void Shard::process_lines() {
 void Shard::note_answered() {
   count(Count::Answered);
   if (reqs_counter_) reqs_counter_->add();
-  std::lock_guard lock(server_.stats_mu_);
-  ++server_.stats_.answered;
-  ++server_.stats_.shard_answered[index_];
+  bump(counters_.answered);
 }
 
 void Shard::deliver(Connection& c, Pending& p) {
@@ -1219,8 +1229,7 @@ void Shard::flush_writes() {
       if (n > 0) {
         c.wbuf.erase(0, static_cast<std::size_t>(n));
         count_bytes(false, static_cast<std::uint64_t>(n));
-        std::lock_guard lock(server_.stats_mu_);
-        server_.stats_.bytes_out += static_cast<std::uint64_t>(n);
+        bump(counters_.bytes_out, static_cast<std::uint64_t>(n));
       } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
         break;
       } else if (n < 0 && errno == EINTR) {
@@ -1280,10 +1289,7 @@ void Shard::reap_and_time_out() {
                             "application/json", body.size());
           farewell += body;
           count_http("other", 408);
-          {
-            std::lock_guard lock(server_.stats_mu_);
-            ++server_.stats_.http_requests;
-          }
+          bump(counters_.http_requests);
           begin_close(c, Disconnect::HeaderTimeout, farewell);
         } else {
           begin_close(c, Disconnect::HeaderTimeout, body);
@@ -1324,13 +1330,18 @@ void Shard::publish_gauges() const {
 
 void Shard::loop() {
   std::vector<pollfd> fds;
+  // Per polled connection, the index of its read side's pollfd entry.
+  std::vector<std::size_t> read_slot;
   while (!stop_.load(std::memory_order_relaxed)) {
     fds.clear();
-    if (wake_fds_[0] >= 0) fds.push_back({wake_fds_[0], POLLIN, 0});
+    read_slot.clear();
+    const bool have_wake = wake_fds_[0] >= 0;
+    if (have_wake) fds.push_back({wake_fds_[0], POLLIN, 0});
     for (const auto& c : conns_) {
       const bool reading = !c->draining && !c->closing &&
                            c->rbuf.size() <= server_.opts_.max_line_bytes;
       const bool writing = !c->wbuf.empty();
+      read_slot.push_back(fds.size());
       if (c->rfd == c->wfd) {
         fds.push_back({c->rfd,
                        static_cast<short>((reading ? POLLIN : 0) |
@@ -1343,15 +1354,22 @@ void Shard::loop() {
         fds.push_back({writing ? c->wfd : -1, POLLOUT, 0});
       }
     }
+    const std::size_t polled = conns_.size();
     (void)::poll(fds.data(), static_cast<nfds_t>(fds.size()),
                  server_.opts_.poll_interval_ms);
-    drain_wakeup();
+    if (have_wake && (fds[0].revents & POLLIN)) drain_wakeup();
     adopt_incoming();
-    // Readiness is a hint, not a contract: reads and writes are
-    // non-blocking, so sweeping every connection is safe and keeps the
-    // loop free of fd-to-connection bookkeeping.
-    for (auto& c : conns_) {
-      if (c->rfd >= 0 && !c->draining && !c->closing) read_ready(*c);
+    // Reads follow readiness: only a connection whose entry reported
+    // input, hang-up or an error is read, plus the ones adopted since the
+    // poll (appended past `polled`), which may hold bytes already.
+    for (std::size_t i = 0; i < conns_.size(); ++i) {
+      Connection& c = *conns_[i];
+      if (c.rfd < 0 || c.draining || c.closing) continue;
+      if (i < polled &&
+          !(fds[read_slot[i]].revents & (POLLIN | POLLHUP | POLLERR))) {
+        continue;
+      }
+      read_ready(c);
     }
     process_lines();
     drain_completions();
@@ -1460,8 +1478,7 @@ Server::Server(serve::Service& service, ServerOptions opts)
   if (opts_.poll_interval_ms <= 0) opts_.poll_interval_ms = 50;
   if (opts_.max_body_bytes == 0) opts_.max_body_bytes = 1;
   if (!opts_.json_listener && !opts_.http) opts_.json_listener = true;
-  stats_.shard_connections.assign(opts_.shards, 0);
-  stats_.shard_answered.assign(opts_.shards, 0);
+  counters_ = std::make_unique<detail::ShardCounters[]>(opts_.shards);
 }
 
 Server::~Server() = default;
@@ -1480,8 +1497,38 @@ void Server::open(std::ostream& log) {
 }
 
 ServerStats Server::stats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  const auto get = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  ServerStats s;
+  s.inflight = inflight_.load(std::memory_order_relaxed);
+  std::array<std::uint64_t, detail::kDisconnectCauses> disconnects{};
+  for (std::size_t i = 0; i < opts_.shards; ++i) {
+    const detail::ShardCounters& c = counters_[i];
+    s.shard_connections.push_back(get(c.connections));
+    s.shard_answered.push_back(get(c.answered));
+    s.accepted += s.shard_connections.back();
+    s.answered += s.shard_answered.back();
+    s.dispatched += get(c.dispatched);
+    s.bytes_in += get(c.bytes_in);
+    s.bytes_out += get(c.bytes_out);
+    s.http_requests += get(c.http_requests);
+    for (std::size_t k = 0; k < disconnects.size(); ++k) {
+      disconnects[k] += get(c.disconnects[k]);
+    }
+  }
+  const auto cause = [&](Disconnect d) {
+    return disconnects[static_cast<std::size_t>(d)];
+  };
+  s.disconnect_eof = cause(Disconnect::Eof);
+  s.disconnect_idle = cause(Disconnect::Idle);
+  s.disconnect_oversize = cause(Disconnect::Oversize);
+  s.disconnect_slow_reader = cause(Disconnect::SlowReader);
+  s.disconnect_refused = cause(Disconnect::Refused);
+  s.disconnect_error = cause(Disconnect::Error);
+  s.disconnect_drained = cause(Disconnect::Drained);
+  s.disconnect_header_timeout = cause(Disconnect::HeaderTimeout);
+  return s;
 }
 
 void Server::publish_gauges() const {
@@ -1517,11 +1564,7 @@ void Server::accept_from(const Listener& listener, bool http) {
     open_conns_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t shard = next_shard_;
     next_shard_ = (next_shard_ + 1) % shards_.size();
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.accepted;
-      ++stats_.shard_connections[shard];
-    }
+    detail::bump(counters_[shard].connections);
     shards_[shard]->adopt({fd, fd, /*borrowed=*/false, refused, http});
   }
 }
@@ -1558,11 +1601,7 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
     // see zero connections and return before the session started.
     count(Count::Connection);
     open_conns_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.accepted;
-      ++stats_.shard_connections[0];
-    }
+    detail::bump(counters_[0].connections);
     shards_[0]->adopt({stdio_in, stdio_out, /*borrowed=*/true,
                        /*refused=*/false, /*http=*/false});
   }

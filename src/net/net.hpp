@@ -72,7 +72,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -164,11 +163,13 @@ struct ServerOptions {
 };
 
 /// Aggregate counters of one Server's lifetime (mirrors the rvhpc_net_*
-/// obs metrics, which aggregate across instances; tests want these).
+/// obs metrics, which aggregate across instances; tests want these).  A
+/// snapshot: Server::stats() reads each counter without a lock.
 struct ServerStats {
   std::uint64_t accepted = 0;    ///< connections accepted (incl. refused)
   std::uint64_t answered = 0;    ///< response lines delivered to write buffers
   std::uint64_t dispatched = 0;  ///< compute phases handed to the pool
+  std::uint64_t inflight = 0;    ///< of those, not yet completed (a gauge)
   std::uint64_t bytes_in = 0;    ///< payload bytes received
   std::uint64_t bytes_out = 0;   ///< response bytes written
   std::uint64_t http_requests = 0;  ///< HTTP exchanges completed (all routes)
@@ -214,6 +215,7 @@ class Listener {
 namespace detail {
 class Shard;
 class CacheFlusher;
+struct ShardCounters;
 }  // namespace detail
 
 class Server {
@@ -278,8 +280,9 @@ class Server {
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> open_conns_{0};  ///< across shards (cap check)
   std::atomic<std::size_t> inflight_{0};    ///< dispatched, not completed
-  mutable std::mutex stats_mu_;  ///< tests poll stats() from other threads
-  ServerStats stats_;
+  /// ServerStats, one lock-free slot per shard (sized opts_.shards;
+  /// outlives the shards, so stats() works after the drain too).
+  std::unique_ptr<detail::ShardCounters[]> counters_;
 };
 
 }  // namespace rvhpc::net

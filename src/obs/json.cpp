@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
@@ -9,6 +10,11 @@ namespace rvhpc::obs::json {
 std::string escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
+  append_escaped(out, s);
+  return out;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -26,14 +32,26 @@ std::string escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
 
 std::string number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  std::string out;
+  append_number(out, v);
+  return out;
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';
+    return;
+  }
+  // to_chars with an explicit precision is specified as printf's %.*g, so
+  // these are exactly the "%.17g" bytes (test_obs pins that).  24 bytes
+  // hold the longest: sign, 17 digits, point, "e-308".
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  out.append(buf, r.ptr);
 }
 
 const Value* Value::find(const std::string& key) const {

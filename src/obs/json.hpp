@@ -18,9 +18,17 @@ namespace rvhpc::obs::json {
 /// characters and backslashes).
 [[nodiscard]] std::string escape(const std::string& s);
 
+/// Appends escape(s) to `out` without building the intermediate string.
+void append_escaped(std::string& out, std::string_view s);
+
 /// Renders a double as a JSON-legal number token (inf/nan clamp to 0,
-/// which JSON cannot represent).
+/// which JSON cannot represent).  The bytes are those of printf's "%.17g"
+/// — 17 significant digits round-trip every double — produced by
+/// std::to_chars, which skips printf's format parsing and locale.
 [[nodiscard]] std::string number(double v);
+
+/// Appends number(v) to `out` without building the intermediate string.
+void append_number(std::string& out, double v);
 
 /// A parsed JSON document node.
 struct Value {

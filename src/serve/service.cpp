@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -92,20 +93,51 @@ std::string require_string(const obs::json::Value& v, const char* key) {
 std::string error_json(const std::string& id, const char* kind,
                        const std::string& message,
                        const std::vector<std::string>& detail = {}) {
-  std::ostringstream os;
-  os << "{\"id\": \"" << obs::json::escape(id) << "\", \"status\": \"error\", "
-     << "\"error\": \"" << kind << "\", \"message\": \""
-     << obs::json::escape(message) << "\"";
+  std::string out = "{\"id\": \"";
+  obs::json::append_escaped(out, id);
+  out += "\", \"status\": \"error\", \"error\": \"";
+  out += kind;
+  out += "\", \"message\": \"";
+  obs::json::append_escaped(out, message);
+  out += '"';
   if (!detail.empty()) {
-    os << ", \"detail\": [";
+    out += ", \"detail\": [";
     for (std::size_t i = 0; i < detail.size(); ++i) {
-      if (i) os << ", ";
-      os << "\"" << obs::json::escape(detail[i]) << "\"";
+      if (i) out += ", ";
+      out += '"';
+      obs::json::append_escaped(out, detail[i]);
+      out += '"';
     }
-    os << "]";
+    out += ']';
   }
-  os << "}";
-  return os.str();
+  out += '}';
+  return out;
+}
+
+/// A registry machine and its memo fingerprint, hashed once per process
+/// instead of once per request.
+struct RegistryMachine {
+  const arch::MachineModel* model;
+  std::uint64_t fingerprint;
+};
+
+/// The registry entry named `name`, or nullptr when the name is not one
+/// of all_machines() or topo_machines().
+const RegistryMachine* registry_machine(const std::string& name) {
+  static const std::vector<RegistryMachine> table = [] {
+    std::vector<RegistryMachine> t;
+    for (const auto* ids : {&arch::all_machines(), &arch::topo_machines()}) {
+      for (const arch::MachineId id : *ids) {
+        const arch::MachineModel& m = arch::machine(id);
+        t.push_back({&m, engine::machine_fingerprint(m)});
+      }
+    }
+    return t;
+  }();
+  for (const RegistryMachine& r : table) {
+    if (r.model->name == name) return &r;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -126,7 +158,11 @@ void reset_shutdown() { g_shutdown.store(0, std::memory_order_relaxed); }
 struct Service::Parsed {
   std::string id;
   std::string tag;
-  arch::MachineModel machine;
+  /// The machine to predict: a registry singleton, or `inline_machine`
+  /// for a "machine_text" request.  Registry machines are referenced,
+  /// never copied.
+  const arch::MachineModel* machine = nullptr;
+  std::unique_ptr<const arch::MachineModel> inline_machine;
   model::WorkloadSignature sig;
   model::RunConfig cfg;
   engine::Backend backend = engine::Backend::Analytic;
@@ -138,13 +174,15 @@ namespace {
 
 /// Parses one request line into a Parsed, applying admission lint.
 /// Throws std::invalid_argument (parse) or LintReject (admission).
-Service::Parsed parse_request(const std::string& line, bool lint_admission,
-                              double default_timeout_ms) {
+std::shared_ptr<Service::Parsed> parse_request(const std::string& line,
+                                               bool lint_admission,
+                                               double default_timeout_ms) {
   const obs::json::Value doc = obs::json::parse(line);
   if (!doc.is(obs::json::Value::Type::Object)) {
     throw std::invalid_argument("request is not a JSON object");
   }
-  Service::Parsed req;
+  auto out = std::make_shared<Service::Parsed>();
+  Service::Parsed& req = *out;
   if (const auto* id = member(doc, "id");
       id && id->is(obs::json::Value::Type::String)) {
     req.id = id->str;
@@ -155,6 +193,7 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
   }
 
   // Machine: registry name or inline description, never both.
+  std::uint64_t machine_fp = 0;
   const obs::json::Value* name = member(doc, "machine");
   const obs::json::Value* text = member(doc, "machine_text");
   if ((name == nullptr) == (text == nullptr)) {
@@ -166,25 +205,28 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
     if (!name->is(obs::json::Value::Type::String)) {
       throw std::invalid_argument("'machine' must be a string");
     }
-    try {
-      req.machine = arch::machine(name->str);
-    } catch (const std::out_of_range&) {
+    const RegistryMachine* reg = registry_machine(name->str);
+    if (!reg) {
       throw std::invalid_argument("unknown machine '" + name->str + "'");
     }
+    req.machine = reg->model;
+    machine_fp = reg->fingerprint;
   } else {
     if (!text->is(obs::json::Value::Type::String)) {
       throw std::invalid_argument("'machine_text' must be a string");
     }
     // parse_machine throws invalid_argument with a line number on bad keys.
-    req.machine = arch::from_text(text->str);
-    if (const auto issues = arch::validate(req.machine); !issues.empty()) {
+    req.inline_machine =
+        std::make_unique<const arch::MachineModel>(arch::from_text(text->str));
+    req.machine = req.inline_machine.get();
+    if (const auto issues = arch::validate(*req.machine); !issues.empty()) {
       std::vector<std::string> detail;
       for (const auto& issue : issues) detail.push_back(issue.message);
       throw LintReject("machine_text fails structural validation",
                        std::move(detail));
     }
     if (lint_admission) {
-      const analysis::Report lint = analysis::lint_machine(req.machine);
+      const analysis::Report lint = analysis::lint_machine(*req.machine);
       if (lint.has_errors()) {
         std::vector<std::string> detail;
         for (const auto& d : lint.diagnostics) detail.push_back(d.format());
@@ -192,6 +234,7 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
                          std::move(detail));
       }
     }
+    machine_fp = engine::machine_fingerprint(*req.machine);
   }
 
   const model::Kernel kernel = model::parse_kernel(require_string(doc, "kernel"));
@@ -204,7 +247,7 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
   }
   req.sig = model::signature(kernel, cls);
 
-  int cores = req.machine.cores;
+  int cores = req.machine->cores;
   if (const auto* n = member(doc, "cores")) {
     if (!n->is(obs::json::Value::Type::Number) || n->num < 1 ||
         n->num != static_cast<double>(static_cast<int>(n->num))) {
@@ -212,7 +255,7 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
     }
     cores = static_cast<int>(n->num);
   }
-  req.cfg = model::paper_run_config(req.machine, kernel, cores);
+  req.cfg = model::paper_run_config(*req.machine, kernel, cores);
   if (const auto* c = member(doc, "compiler")) {
     if (!c->is(obs::json::Value::Type::String)) {
       throw std::invalid_argument("'compiler' must be a string");
@@ -247,10 +290,8 @@ Service::Parsed parse_request(const std::string& line, bool lint_admission,
     req.timeout_ms = t->num;
   }
 
-  req.key = engine::PredictionRequest(req.machine, req.sig, req.cfg, "",
-                                      req.backend)
-                .key();
-  return req;
+  req.key = engine::request_key(machine_fp, req.sig, req.cfg, req.backend);
+  return out;
 }
 
 /// Best-effort id recovery for error responses: a request that failed
@@ -287,10 +328,9 @@ Service::~Service() {
 std::size_t Service::start(std::ostream& log) {
   if (opts_.cache_file.empty()) return 0;
   const LoadResult r = load_cache(opts_.cache_file, cache_);
-  std::lock_guard lock(stats_mu_);
   switch (r.status) {
     case LoadResult::Status::Loaded:
-      stats_.restored = r.restored;
+      counters_.restored.store(r.restored, std::memory_order_relaxed);
       log << "serve: restored " << r.restored << " cache entr"
           << (r.restored == 1 ? "y" : "ies") << " from " << opts_.cache_file
           << "\n";
@@ -306,119 +346,139 @@ std::size_t Service::start(std::ostream& log) {
           << " cache file: " << r.detail << "\n";
       break;
   }
-  return stats_.restored;
+  return counters_.restored.load(std::memory_order_relaxed);
+}
+
+bool Service::expired(const Parsed& req, double arrival_us) const {
+  return req.timeout_ms > 0.0 &&
+         now_us() - arrival_us > req.timeout_ms * 1000.0;
+}
+
+std::string Service::timeout_response(const Parsed& req) {
+  count(Count::Timeout);
+  counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
+  return error_json(req.id, "timeout",
+                    "deadline of " + std::to_string(req.timeout_ms) +
+                        " ms expired before evaluation");
+}
+
+std::optional<std::string> Service::complete_if_cached(const Parsed& req,
+                                                       double arrival_us) {
+  // An expired request answers "timeout" whether cached or not, so it
+  // never costs a pool handoff.
+  if (expired(req, arrival_us)) return timeout_response(req);
+  // rvhpc: hot-path begin — serve warm path: one memo probe answers a
+  // cached request (rvhpc-lint S1xx guards this region).
+  std::optional<model::Prediction> p = cache_.find(req.key);
+  if (!p) return std::nullopt;
+  // rvhpc: hot-path end
+  obs::ScopedSpan span("serve", "request");
+  return render(req, *p, /*hit=*/true, arrival_us, span);
 }
 
 std::string Service::complete(const Parsed& req, double arrival_us) {
   // Deadline: checked at evaluation time, so a request that waited for the
   // pool past its budget answers "timeout" instead of burning a worker
   // on an answer nobody is waiting for.
-  if (req.timeout_ms > 0.0 &&
-      now_us() - arrival_us > req.timeout_ms * 1000.0) {
-    count(Count::Timeout);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.timeouts;
-    }
-    return error_json(req.id, "timeout",
-                      "deadline of " + std::to_string(req.timeout_ms) +
-                          " ms expired before evaluation");
-  }
+  if (expired(req, arrival_us)) return timeout_response(req);
 
   obs::ScopedSpan span("serve", "request");
-  bool hit = false;
-  model::Prediction p;
-  // rvhpc: hot-path begin — serve cache-hit fast path: a warm request must
-  // answer from the memo without allocating (rvhpc-lint S1xx guards this).
-  if (std::optional<model::Prediction> cached = cache_.get(req.key)) {
-    p = *std::move(cached);
-    hit = true;
-  }
-  // rvhpc: hot-path end
+  std::optional<model::Prediction> p = cache_.get(req.key);
+  const bool hit = p.has_value();
   if (!hit) {
     p = engine::backend_for(req.backend)
-            .predict(req.machine, req.sig, req.cfg);
-    cache_.put(req.key, p);
+            .predict(*req.machine, req.sig, req.cfg);
+    cache_.put(req.key, *p);
   }
+  return render(req, *p, hit, arrival_us, span);
+}
+
+std::string Service::render(const Parsed& req, const model::Prediction& p,
+                            bool hit, double arrival_us,
+                            obs::ScopedSpan& span) {
   if (span.active()) {
     span.arg("id", req.id);
     span.arg("backend", engine::to_string(req.backend));
-    span.arg("machine", req.machine.name);
+    span.arg("machine", req.machine->name);
     span.arg("kernel", to_string(req.sig.kernel));
     span.arg("cache", hit ? "hit" : "miss");
   }
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.ok;
-    if (hit) ++stats_.cache_hits;
-    if (!p.ran) ++stats_.dnr;
-  }
+  counters_.ok.fetch_add(1, std::memory_order_relaxed);
+  if (hit) counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+  if (!p.ran) counters_.dnr.fetch_add(1, std::memory_order_relaxed);
 
-  std::ostringstream os;
-  os << "{\"id\": \"" << obs::json::escape(req.id)
-     << "\", \"status\": \"ok\", \"ran\": " << (p.ran ? "true" : "false");
+  std::string out;
+  out.reserve(384);  // a typical live response is ~330 bytes
+  out += "{\"id\": \"";
+  obs::json::append_escaped(out, req.id);
+  out += "\", \"status\": \"ok\", \"ran\": ";
+  out += p.ran ? "true" : "false";
   if (!req.tag.empty()) {
-    os << ", \"tag\": \"" << obs::json::escape(req.tag) << "\"";
+    out += ", \"tag\": \"";
+    obs::json::append_escaped(out, req.tag);
+    out += '"';
   }
   if (!p.ran) {
-    os << ", \"dnr_reason\": \"" << obs::json::escape(p.dnr_reason) << "\"";
+    out += ", \"dnr_reason\": \"";
+    obs::json::append_escaped(out, p.dnr_reason);
+    out += '"';
   }
-  os << ", \"backend\": \"" << obs::json::escape(engine::to_string(req.backend))
-     << "\", \"machine\": \"" << obs::json::escape(req.machine.name)
-     << "\", \"kernel\": \"" << obs::json::escape(to_string(req.sig.kernel))
-     << "\", \"class\": \""
-     << obs::json::escape(to_string(req.sig.problem_class))
-     << "\", \"cores\": " << req.cfg.cores
-     << ", \"seconds\": " << obs::json::number(p.seconds)
-     << ", \"mops\": " << obs::json::number(p.mops)
-     << ", \"bw_gbs\": " << obs::json::number(p.achieved_bw_gbs)
-     << ", \"bottleneck\": \""
-     << obs::json::escape(to_string(p.breakdown.dominant))
-     << "\", \"vectorised\": " << (p.vector.vectorised ? "true" : "false");
+  out += ", \"backend\": \"";
+  obs::json::append_escaped(out, engine::to_string(req.backend));
+  out += "\", \"machine\": \"";
+  obs::json::append_escaped(out, req.machine->name);
+  out += "\", \"kernel\": \"";
+  obs::json::append_escaped(out, to_string(req.sig.kernel));
+  out += "\", \"class\": \"";
+  obs::json::append_escaped(out, to_string(req.sig.problem_class));
+  out += "\", \"cores\": ";
+  char cores[16];
+  out.append(cores,
+             std::to_chars(cores, cores + sizeof cores, req.cfg.cores).ptr);
+  out += ", \"seconds\": ";
+  obs::json::append_number(out, p.seconds);
+  out += ", \"mops\": ";
+  obs::json::append_number(out, p.mops);
+  out += ", \"bw_gbs\": ";
+  obs::json::append_number(out, p.achieved_bw_gbs);
+  out += ", \"bottleneck\": \"";
+  obs::json::append_escaped(out, to_string(p.breakdown.dominant));
+  out += "\", \"vectorised\": ";
+  out += p.vector.vectorised ? "true" : "false";
+  const double latency_us = now_us() - arrival_us;
   if (opts_.live_fields) {
-    os << ", \"cache\": \"" << (hit ? "hit" : "miss") << "\""
-       << ", \"latency_us\": " << obs::json::number(now_us() - arrival_us);
+    out += ", \"cache\": \"";
+    out += hit ? "hit" : "miss";
+    out += "\", \"latency_us\": ";
+    obs::json::append_number(out, latency_us);
   }
-  os << "}";
+  out += '}';
   // End-to-end latency, admission to completion (seconds, the repo-wide
   // log-spaced timer layout): the p99 the throughput bench gates on.
-  if (obs::Histogram* h = latency_histogram()) {
-    h->observe((now_us() - arrival_us) * 1e-6);
-  }
-  return os.str();
+  if (obs::Histogram* h = latency_histogram()) h->observe(latency_us * 1e-6);
+  return out;
 }
-
-bool Service::cached(const Parsed& req) { return cache_.contains(req.key); }
 
 Service::Admission Service::admit(const std::string& line) {
   Admission adm;
   adm.arrival_us = now_us();
   count(Count::Request);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.received;
-  }
+  counters_.received.fetch_add(1, std::memory_order_relaxed);
   try {
-    auto req = std::make_shared<Parsed>(
-        parse_request(line, opts_.lint_admission, opts_.default_timeout_ms));
+    std::shared_ptr<Parsed> req =
+        parse_request(line, opts_.lint_admission, opts_.default_timeout_ms);
     adm.id = req->id;
     adm.had_id = !req->id.empty();
     adm.request = std::move(req);
   } catch (const LintReject& e) {
     count(Count::Rejected);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.lint_rejected;
-    }
+    counters_.lint_rejected.fetch_add(1, std::memory_order_relaxed);
     adm.id = recover_id(line);
     adm.had_id = !adm.id.empty();
     adm.response = error_json(adm.id, "lint", e.what(), e.detail);
   } catch (const std::exception& e) {
     count(Count::Rejected);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.parse_errors;
-    }
+    counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
     adm.id = recover_id(line);
     adm.had_id = !adm.id.empty();
     adm.response = error_json(adm.id, "parse", e.what());
@@ -435,11 +495,8 @@ std::string Service::handle_line(const std::string& line) {
 std::string Service::reject_overloaded(const std::string& id) {
   count(Count::Request);
   count(Count::Rejected);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.received;
-    ++stats_.overloaded;
-  }
+  counters_.received.fetch_add(1, std::memory_order_relaxed);
+  counters_.overloaded.fetch_add(1, std::memory_order_relaxed);
   return error_json(id, "overloaded",
                     "backlog full (" + std::to_string(opts_.queue_capacity) +
                         " requests pending); retry later");
@@ -447,12 +504,10 @@ std::string Service::reject_overloaded(const std::string& id) {
 
 bool Service::note_evaluation() {
   if (opts_.cache_file.empty() || opts_.checkpoint_every == 0) return false;
-  std::lock_guard lock(stats_mu_);
-  if (++since_checkpoint_ >= opts_.checkpoint_every) {
-    since_checkpoint_ = 0;
-    return true;
-  }
-  return false;
+  // Every checkpoint_every-th evaluation is the one that is due.
+  return (since_checkpoint_.fetch_add(1, std::memory_order_relaxed) + 1) %
+             opts_.checkpoint_every ==
+         0;
 }
 
 void Service::flush(std::ostream& log) {
@@ -534,8 +589,20 @@ std::string Service::replay(const std::string& path, std::ostream& out,
 }
 
 ServiceStats Service::stats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  const auto get = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  ServiceStats s;
+  s.received = get(counters_.received);
+  s.ok = get(counters_.ok);
+  s.dnr = get(counters_.dnr);
+  s.parse_errors = get(counters_.parse_errors);
+  s.lint_rejected = get(counters_.lint_rejected);
+  s.timeouts = get(counters_.timeouts);
+  s.overloaded = get(counters_.overloaded);
+  s.cache_hits = get(counters_.cache_hits);
+  s.restored = get(counters_.restored);
+  return s;
 }
 
 }  // namespace rvhpc::serve

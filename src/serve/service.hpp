@@ -48,17 +48,23 @@
 // structured error responses or logged warnings — never a crash, never a
 // silently dropped request.
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "engine/cache.hpp"
 #include "serve/persist.hpp"
+
+namespace rvhpc::obs {
+class ScopedSpan;
+}
 
 namespace rvhpc::serve {
 
@@ -169,9 +175,13 @@ class Service {
   /// ThreadPool as a future.  Never throws.
   [[nodiscard]] std::string complete(const Parsed& req, double arrival_us);
 
-  /// True when `req` would answer from the memo cache — the front end
-  /// completes such requests inline instead of paying a pool handoff.
-  [[nodiscard]] bool cached(const Parsed& req);
+  /// Phase 2 without compute, in one memo probe: the response complete()
+  /// would give when `req`'s key is resident or its deadline has passed,
+  /// nullopt otherwise (nothing is counted then; the caller dispatches
+  /// complete() to the pool).  The front end answers cached hits inline
+  /// with it instead of paying a pool handoff.  Never throws.
+  [[nodiscard]] std::optional<std::string> complete_if_cached(
+      const Parsed& req, double arrival_us);
 
   /// Parses, admits and evaluates one request line synchronously,
   /// returning the response JSON (no trailing newline) — admit() +
@@ -197,13 +207,33 @@ class Service {
   [[nodiscard]] int jobs() const { return jobs_; }
 
  private:
+  /// ServiceStats as relaxed atomics: shards and pool workers count
+  /// without a lock, and stats() snapshots them.
+  struct Counters {
+    std::atomic<std::uint64_t> received{0};
+    std::atomic<std::uint64_t> ok{0};
+    std::atomic<std::uint64_t> dnr{0};
+    std::atomic<std::uint64_t> parse_errors{0};
+    std::atomic<std::uint64_t> lint_rejected{0};
+    std::atomic<std::uint64_t> timeouts{0};
+    std::atomic<std::uint64_t> overloaded{0};
+    std::atomic<std::uint64_t> cache_hits{0};
+    std::atomic<std::uint64_t> restored{0};
+  };
+
+  [[nodiscard]] bool expired(const Parsed& req, double arrival_us) const;
+  [[nodiscard]] std::string timeout_response(const Parsed& req);
+  /// Counts an answered prediction and renders its response line.
+  [[nodiscard]] std::string render(const Parsed& req,
+                                   const model::Prediction& p, bool hit,
+                                   double arrival_us, obs::ScopedSpan& span);
+
   Options opts_;
   int jobs_;
   engine::PredictionCache cache_;
-  mutable std::mutex stats_mu_;
   std::mutex save_mu_;  ///< serialises concurrent flush() calls
-  ServiceStats stats_;
-  std::uint64_t since_checkpoint_ = 0;
+  Counters counters_;
+  std::atomic<std::uint64_t> since_checkpoint_{0};
 };
 
 /// Installs SIGTERM/SIGINT handlers that request a graceful drain:

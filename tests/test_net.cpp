@@ -237,6 +237,14 @@ TEST(NetServer, SlowReaderIsDisconnectedWithBoundedMemory) {
   const net::ServerStats stats = s.server.stats();
   EXPECT_LT(stats.answered, 300u) << "the bound must trip before all 300";
 
+  // Until the first predict lands in the cache, every duplicate of it is
+  // dispatched too, so up to queue_capacity of the slow reader's requests
+  // can still be computing after its disconnect — and a line arriving
+  // meanwhile is rightly answered "overloaded".  Let them finish first.
+  ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+    return st.inflight == 0;
+  }));
+
   // The server is still healthy for a well-behaved client.
   net::LoopbackClient good(s.server.port());
   ASSERT_TRUE(good.connected());

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,6 +225,79 @@ TEST(ObsJsonParser, RejectsMalformedDocuments) {
   EXPECT_THROW(obs::json::parse("{\"a\": 1} trailing"), std::runtime_error);
   EXPECT_THROW(obs::json::parse("tru"), std::runtime_error);
   EXPECT_THROW(obs::json::parse(""), std::runtime_error);
+}
+
+namespace {
+
+// json::number is the response format of every served prediction: its
+// bytes are printf's "%.17g", whatever produces them.
+std::string printf_17g(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+}  // namespace
+
+TEST(ObsJsonNumber, MatchesPrintf17gOnEdgeCases) {
+  const double edges[] = {0.0,
+                          -0.0,
+                          std::numeric_limits<double>::denorm_min(),
+                          -std::numeric_limits<double>::denorm_min(),
+                          std::numeric_limits<double>::min(),
+                          std::numeric_limits<double>::max(),
+                          std::numeric_limits<double>::lowest(),
+                          1e21,
+                          1e-7,
+                          0.1,
+                          1.0 / 3.0,
+                          1e16,
+                          1e17,
+                          123456789012345678.0,
+                          9007199254740993.0,
+                          4294967296.0,
+                          100.0,
+                          1.5,
+                          -2.25,
+                          1e-5,
+                          1e-4,
+                          1e300};
+  for (const double v : edges) {
+    EXPECT_EQ(obs::json::number(v), printf_17g(v)) << printf_17g(v);
+  }
+  EXPECT_EQ(obs::json::number(-0.0), "-0");
+  EXPECT_EQ(obs::json::number(0.1), "0.10000000000000001");
+  EXPECT_EQ(obs::json::number(1e21), "1e+21");
+  // JSON has no inf or nan: they clamp to 0.
+  EXPECT_EQ(obs::json::number(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(obs::json::number(-std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(obs::json::number(std::numeric_limits<double>::quiet_NaN()), "0");
+  std::string out = "x=";
+  obs::json::append_number(out, 2.5);
+  EXPECT_EQ(out, "x=2.5");
+}
+
+TEST(ObsJsonNumber, MatchesPrintf17gOnAMillionSeededDoubles) {
+  // Half raw bit patterns (every exponent, subnormals included), half
+  // values of the magnitudes predictions actually carry.
+  std::mt19937_64 rng(20250817);
+  std::uniform_real_distribution<double> mantissa(0.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-12, 12);
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  std::string first_mismatch;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v =
+        (i % 2 == 0) ? std::bit_cast<double>(rng())
+                     : mantissa(rng) * std::pow(10.0, exponent(rng));
+    if (!std::isfinite(v)) continue;
+    ++checked;
+    if (obs::json::number(v) != printf_17g(v)) {
+      if (mismatches++ == 0) first_mismatch = printf_17g(v);
+    }
+  }
+  EXPECT_GT(checked, 990'000u);
+  EXPECT_EQ(mismatches, 0u) << "first: " << first_mismatch;
 }
 
 // --- metrics ---------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "arch/registry.hpp"
 #include "arch/serialize.hpp"
 #include "engine/cache.hpp"
+#include "engine/request.hpp"
+#include "model/signatures.hpp"
 #include "obs/json.hpp"
 #include "serve/persist.hpp"
 #include "serve/service.hpp"
@@ -427,6 +430,102 @@ TEST(Service, ExpiredDeadlineAnswersTimeout) {
   EXPECT_EQ(v.find("status")->str, "error");
   EXPECT_EQ(v.find("error")->str, "timeout");
   EXPECT_EQ(svc.stats().timeouts, 1u);
+}
+
+TEST(Service, RequestLinesKeyTheMemoExactlyLikePredictionRequest) {
+  // The service keys a registry machine from its fingerprint, computed
+  // once, and an inline machine from its own fingerprint; both must equal
+  // PredictionRequest::key(), or cache files written by either path
+  // (rvhpc-serve, suite_summary, an older build) stop restoring as hits.
+  // A sentinel stored under the engine's key must answer both lines.
+  serve::Service svc(no_persist());
+  std::vector<arch::MachineId> ids = arch::all_machines();
+  ids.insert(ids.end(), arch::topo_machines().begin(),
+             arch::topo_machines().end());
+  const model::Kernel kernels[] = {
+      model::Kernel::IS,         model::Kernel::MG,
+      model::Kernel::EP,         model::Kernel::CG,
+      model::Kernel::FT,         model::Kernel::BT,
+      model::Kernel::LU,         model::Kernel::SP,
+      model::Kernel::StreamCopy, model::Kernel::StreamTriad,
+      model::Kernel::Hpl,        model::Kernel::Hpcg};
+  const model::ProblemClass classes[] = {
+      model::ProblemClass::S, model::ProblemClass::W, model::ProblemClass::A,
+      model::ProblemClass::B, model::ProblemClass::C};
+  const engine::Backend backends[] = {engine::Backend::Analytic,
+                                      engine::Backend::Interval};
+  std::size_t points = 0;
+  for (const arch::MachineId id : ids) {
+    const arch::MachineModel& m = arch::machine(id);
+    const std::string machine_text = obs::json::escape(arch::to_text(m));
+    for (const model::Kernel k : kernels) {
+      for (const model::ProblemClass cls : classes) {
+        model::WorkloadSignature sig;
+        try {
+          sig = model::signature(k, cls);
+        } catch (const std::invalid_argument&) {
+          continue;  // a combination the suite does not define
+        }
+        for (const engine::Backend b : backends) {
+          const std::uint64_t key =
+              engine::PredictionRequest(
+                  m, sig, model::paper_run_config(m, k, m.cores), "", b)
+                  .key();
+          const model::Prediction sentinel =
+              sample_prediction(1000.0 + static_cast<double>(points++));
+          svc.cache().put(key, sentinel);
+          const std::string rest = R"(", "kernel": ")" + to_string(k) +
+                                   R"(", "class": ")" + to_string(cls) +
+                                   R"(", "backend": ")" +
+                                   engine::to_string(b) + R"("})";
+          const std::string what =
+              m.name + "/" + to_string(k) + "/" + to_string(cls) + "/" +
+              engine::to_string(b);
+          for (const std::string& line :
+               {R"({"id": "r", "machine": ")" + m.name + rest,
+                R"({"id": "t", "machine_text": ")" + machine_text + rest}) {
+            const auto v = parsed(svc.handle_line(line));
+            ASSERT_EQ(v.find("status")->str, "ok") << what << ": " << line;
+            EXPECT_EQ(v.find("cache")->str, "hit") << what;
+            EXPECT_EQ(v.find("machine")->str, m.name);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(v.find("seconds")->num),
+                      std::bit_cast<std::uint64_t>(sentinel.seconds))
+                << what;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(points, ids.size() * 8 * 5 * 2)
+      << "every machine x NPB kernel x class S-C x backend is covered";
+  EXPECT_EQ(svc.stats().cache_hits, 2 * points);
+
+  // The keys themselves are the ones earlier builds wrote to cache files.
+  // Recalibrating a registry machine changes its keys on purpose (its old
+  // entries are stale); update these values then.
+  const struct {
+    const char* machine;
+    model::Kernel kernel;
+    model::ProblemClass cls;
+    engine::Backend backend;
+    std::uint64_t key;
+  } golden[] = {
+      {"sg2044", model::Kernel::CG, model::ProblemClass::C,
+       engine::Backend::Analytic, 0x23eae8228ec40723ull},
+      {"sg2042", model::Kernel::MG, model::ProblemClass::B,
+       engine::Backend::Interval, 0xc0c55d4996fa2f1full},
+      {"sg2044-dual", model::Kernel::EP, model::ProblemClass::C,
+       engine::Backend::Analytic, 0x2dca55288646889bull},
+  };
+  for (const auto& g : golden) {
+    const arch::MachineModel& m = arch::machine(std::string(g.machine));
+    EXPECT_EQ(engine::PredictionRequest(
+                  m, model::signature(g.kernel, g.cls),
+                  model::paper_run_config(m, g.kernel, m.cores), "", g.backend)
+                  .key(),
+              g.key)
+        << g.machine;
+  }
 }
 
 // --- replay over the checked-in fixture ----------------------------------
