@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) of the library's own machinery:
 // predictor evaluation cost, engine batch throughput, cache-simulator
-// throughput, DRAM model, NPB class-S kernel rates and STREAM on the
-// host.  These measure this repository's code, not the paper's machines.
+// throughput, interval-backend prediction cost, DRAM model, NPB class-S
+// kernel rates and STREAM on the host.  These measure this repository's
+// code, not the paper's machines.
 //
-// rvhpc-lint: disable=B001 — BM_PredictSingleCall measures the raw
-// predict() hot path on purpose; routing it through the engine would
-// fold pool and cache overhead into the number it exists to isolate.
+// rvhpc-lint: disable=B001 — BM_PredictSingleCall and BM_IntervalPredict
+// measure the raw predict()/predict_interval() paths on purpose; routing
+// them through the engine would fold pool and cache overhead into the
+// numbers they exist to isolate.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 #include "npb/ep.hpp"
 #include "npb/is.hpp"
 #include "npb/mg.hpp"
+#include "sim/interval.hpp"
 #include "stream/stream.hpp"
 
 namespace {
@@ -80,6 +83,31 @@ void BM_CacheAccess(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(total));
 }
 BENCHMARK(BM_CacheAccess);
+
+// One interval-backend prediction per iteration, in three regimes: the
+// whole 64 MiB L3 as one core's slice (cache construction used to
+// dominate), a random-access kernel on the largest-LLC topology machine,
+// and a many-core point whose slices are already small.
+void BM_IntervalPredict(benchmark::State& state, const char* machine,
+                        model::Kernel kernel, model::ProblemClass pc,
+                        int cores) {
+  const auto& m = arch::machine(machine);
+  const auto sig = model::signature(kernel, pc);
+  const auto cfg = model::paper_run_config(m, kernel, cores);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim::predict_interval(m, sig, cfg).seconds);
+  }
+}
+BENCHMARK_CAPTURE(BM_IntervalPredict, sg2044_CG_S_1core, "sg2044",
+                  model::Kernel::CG, model::ProblemClass::S, 1)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_IntervalPredict, montecimone_v3_IS_A_8core,
+                  "montecimone-v3", model::Kernel::IS, model::ProblemClass::A,
+                  8)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_IntervalPredict, sg2044_CG_C_64core, "sg2044",
+                  model::Kernel::CG, model::ProblemClass::C, 64)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_TraceGeneration(benchmark::State& state) {
   auto gen = memsim::kernel_trace(model::Kernel::MG, 1.0, 0, 7);

@@ -6,7 +6,9 @@
 # hot-path/syscall findings fail; accepted ones live in
 # scripts/lint_baseline.txt with a reason), runs the full test suite under
 # the sanitizers, smoke-runs every bench binary (so the figure/table
-# generators cannot silently rot), runs rvhpc-lint in --werror mode over
+# generators cannot silently rot) and requires the calibration and
+# topology artifacts to regenerate byte-identical to the checked-in
+# BENCH_calibration.json / BENCH_topo.json, runs rvhpc-lint in --werror mode over
 # the registry, the signature suite, every example .machine file and every
 # bench/example C++ source (B001: no predict sweeps bypassing the engine,
 # plus the S-family), replays the checked-in serve fixture cold
@@ -61,9 +63,8 @@ for exe in "$build_dir"/bench/*; do
     backend_calibration)
       # The analytic-vs-interval agreement gate: model arithmetic only, no
       # wall-clock assertions, so it must pass on single-CPU runners.  The
-      # JSON artifact goes to the build dir — the checked-in
-      # BENCH_calibration.json is regenerated deliberately, not on every CI
-      # run.
+      # JSON artifact goes to the build dir and must match the checked-in
+      # BENCH_calibration.json byte for byte (compared after the loop).
       args=(--gate "--out=$build_dir/BENCH_calibration.smoke.json") ;;
     serve_throughput)
       # Front-end ordering gate (always enforced); the 1.5x speedup bar
@@ -78,8 +79,8 @@ for exe in "$build_dir"/bench/*; do
     topo_scaling)
       # Topology gate: backend bottleneck agreement + the two literature
       # scaling shapes.  Pure model arithmetic, single-CPU safe.  The
-      # checked-in BENCH_topo.json is regenerated deliberately, not on
-      # every CI run.
+      # artifact must match the checked-in BENCH_topo.json byte for byte
+      # (compared after the loop).
       args=(--gate "--out=$build_dir/BENCH_topo.smoke.json") ;;
     *)
       args=() ;;
@@ -92,6 +93,13 @@ if [ "$found_bench" -eq 0 ]; then
   echo "error: no bench binaries found under $build_dir/bench/" >&2
   exit 1
 fi
+
+echo "== delta sheet: calibration + topology artifacts match the checked-in copies"
+# Neither artifact carries host fields, so any byte that moves is a model
+# or simulator change: regenerate the checked-in file deliberately, in
+# the change that explains the drift.
+cmp "$build_dir/BENCH_calibration.smoke.json" "$repo_root/BENCH_calibration.json"
+cmp "$build_dir/BENCH_topo.smoke.json" "$repo_root/BENCH_topo.json"
 
 echo "== rvhpc-lint --werror: registry + signature suite"
 "$build_dir/src/analysis/rvhpc-lint" --werror

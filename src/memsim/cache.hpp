@@ -5,8 +5,15 @@
 // profile (and cross-checks the analytic model's cache assumptions).
 // Caches are write-back / write-allocate, which matches the machines in
 // the study.
+//
+// Storage costs what a simulation touches, not what the modelled machine
+// owns: a dense directory of 32-bit slots, one per set, and a pool of
+// fixed-size blocks that materialises a set's ways on its first access.
+// An untouched set behaves exactly like a set of invalid ways.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace rvhpc::memsim {
@@ -39,7 +46,8 @@ struct AccessResult {
 class Cache {
  public:
   /// size/line in bytes; associativity >= 1.  size must be divisible by
-  /// line*associativity.  Throws std::invalid_argument otherwise.
+  /// line*associativity and hold fewer than 2^32 sets.  Throws
+  /// std::invalid_argument otherwise.
   Cache(std::size_t size_bytes, int associativity, int line_bytes);
 
   /// Performs one access; installs the line on miss (evicting LRU).
@@ -57,6 +65,13 @@ class Cache {
   /// dropped.
   bool invalidate(std::uint64_t addr);
 
+  /// Allocates pool blocks for the sets that `lines` distinct line
+  /// addresses can touch, so that many first touches allocate nothing.
+  void reserve(std::size_t lines);
+
+  /// Sets materialised so far (each holds associativity() ways).
+  [[nodiscard]] std::size_t touched_sets() const { return touched_; }
+
   /// Coherence invalidations received from other cores' writes.
   [[nodiscard]] std::uint64_t coherence_invalidations() const {
     return coherence_invalidations_;
@@ -69,12 +84,10 @@ class Cache {
   [[nodiscard]] std::size_t sets() const { return sets_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;   ///< last-touch stamp; smallest = LRU victim
-    bool valid = false;
-    bool dirty = false;
-  };
+  /// Tag stored in invalid ways, so a hit scan rarely looks past a tag.
+  /// Validity is the stamp word alone: with 1-byte lines this is also a
+  /// real line address, and it still hits only where it is resident.
+  static constexpr std::uint64_t kNoLine = ~std::uint64_t{0};
 
   std::size_t size_;
   int assoc_;
@@ -83,12 +96,42 @@ class Cache {
   int line_shift_;
   std::uint64_t stamp_ = 0;
   std::uint64_t coherence_invalidations_ = 0;
-  std::vector<Line> lines_;  ///< sets_ x assoc_, row-major
+  /// One slot per set: 0 = untouched, else 1 + the set's pool index.
+  std::vector<std::uint32_t> directory_;
+  /// The pool: set i lives in blocks_[i >> block_shift_].  Blocks never
+  /// move, so materialising a set copies nothing.  Per set, 2 x assoc_
+  /// words: the ways' line addresses (tags first, so a hit scan reads only
+  /// them), then their stamp words `lru << 1 | dirty` — 0 marks an
+  /// invalid way, which therefore sorts before every resident line when
+  /// the victim is picked by minimum.
+  std::vector<std::unique_ptr<std::uint64_t[]>> blocks_;
+  std::size_t touched_ = 0;
+  int block_shift_;
   CacheStats stats_;
 
+  [[nodiscard]] std::size_t set_words() const {
+    return 2 * static_cast<std::size_t>(assoc_);
+  }
   [[nodiscard]] std::size_t set_index(std::uint64_t line_addr) const {
     return static_cast<std::size_t>(line_addr % sets_);
   }
+  /// The words of the set in directory slot `slot` (non-zero).
+  [[nodiscard]] std::uint64_t* set_at(std::uint32_t slot) const {
+    const std::size_t i = slot - 1;
+    const std::size_t mask = (std::size_t{1} << block_shift_) - 1;
+    return blocks_[i >> block_shift_].get() + (i & mask) * set_words();
+  }
+  /// The tag words of `line_addr`'s set, or nullptr while it is untouched.
+  [[nodiscard]] std::uint64_t* find_set(std::uint64_t line_addr) const {
+    const std::uint32_t slot = directory_[set_index(line_addr)];
+    return slot != 0 ? set_at(slot) : nullptr;
+  }
+  /// Way index of `line_addr` among a set's tags, or -1.
+  [[nodiscard]] int find_way(const std::uint64_t* tags,
+                             std::uint64_t line_addr) const;
+  /// Allocates the pool block that holds set index `i`.
+  void grow_pool(std::size_t i);
+  std::uint64_t* materialise(std::size_t set);
 };
 
 }  // namespace rvhpc::memsim

@@ -5,8 +5,8 @@
 // from an arch::MachineModel and routes accesses through them, reporting
 // at which level each access hit.
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "arch/machine.hpp"
@@ -33,6 +33,14 @@ class Hierarchy {
   /// there and on here for detailed studies.
   explicit Hierarchy(const arch::MachineModel& m, int cores,
                      bool coherent = false);
+  /// Flushes the access tallies into the obs counters.
+  ~Hierarchy();
+  Hierarchy(const Hierarchy&) = delete;
+  Hierarchy& operator=(const Hierarchy&) = delete;
+
+  /// Reserves every cache's set pool for `lines` distinct line addresses
+  /// (Cache::reserve), so that many accesses allocate nothing.
+  void reserve(std::size_t lines);
 
   /// Routes one access from `core`; returns the deepest level consulted.
   HitLevel access(int core, std::uint64_t addr, bool is_write);
@@ -52,17 +60,22 @@ class Hierarchy {
  private:
   int cores_;
   bool coherent_;
-  /// Accesses routed so far; every kObsEventStride-th emits an aggregate
-  /// cache-stats instant into the active obs::TraceSession.
+  /// Accesses routed so far; every kObsEventStride-th flushes the tallies
+  /// below into the obs counters and emits an aggregate cache-stats
+  /// instant into the active obs::TraceSession.
   std::uint64_t accesses_ = 0;
+  /// The obs counters lag by what has not been flushed yet: accesses_
+  /// minus counted_accesses_, and the DRAM fall-throughs since then.
+  std::uint64_t counted_accesses_ = 0;
+  std::uint64_t uncounted_dram_ = 0;
   std::vector<double> latencies_;
   /// level_caches_[level][instance]; instance = core / sharers.
-  std::vector<std::vector<std::unique_ptr<Cache>>> level_caches_;
-  std::vector<int> sharers_;
+  std::vector<std::vector<Cache>> level_caches_;
+  /// route_[core * levels() + level]: the cache instance `core` consults
+  /// at `level` (resolves the core / sharers division once).
+  std::vector<Cache*> route_;
 
-  Cache& cache_at(std::size_t level, int core) {
-    return *level_caches_[level][static_cast<std::size_t>(core / sharers_[level])];
-  }
+  void flush_counters();
 };
 
 }  // namespace rvhpc::memsim

@@ -38,6 +38,15 @@ void count_interval_call() {
   calls.add();
 }
 
+/// Most accesses one of SignatureStream's two streams issues in one op (0
+/// when its footprint holds no line): its credit accumulator never carries
+/// a whole line, so at most floor(rate) + 1.
+std::uint64_t per_op_bound(double rate, std::uint64_t footprint,
+                           int line_bytes) {
+  if (footprint < static_cast<std::uint64_t>(line_bytes)) return 0;
+  return (rate > 0.0 ? static_cast<std::uint64_t>(rate) : 0) + 1;
+}
+
 /// The NUMA latency blend the analytic model applies (predictor.cpp);
 /// shared deliberately so backend divergence localises to the mechanism.
 double numa_latency_factor(const arch::MachineModel& m, double active_cores) {
@@ -92,6 +101,22 @@ void SignatureStream::next_op(std::vector<SimAccess>& out) {
       out.push_back(a);
     }
   }
+}
+
+std::size_t SignatureStream::max_accesses_per_op() const {
+  return static_cast<std::size_t>(
+      per_op_bound(stream_lines_per_op_, stream_footprint_, line_bytes_) +
+      per_op_bound(random_per_op_, random_footprint_, line_bytes_));
+}
+
+std::uint64_t SignatureStream::max_lines(std::uint64_t ops) const {
+  const auto line = static_cast<std::uint64_t>(line_bytes_);
+  return std::min(ops * per_op_bound(stream_lines_per_op_, stream_footprint_,
+                                     line_bytes_),
+                  (stream_footprint_ + line - 1) / line) +
+         std::min(ops * per_op_bound(random_per_op_, random_footprint_,
+                                     line_bytes_),
+                  random_footprint_ / line);
 }
 
 arch::MachineModel per_core_slice(const arch::MachineModel& m,
@@ -282,8 +307,11 @@ IntervalReport simulate(const arch::MachineModel& m,
   std::uint64_t dram_lines = 0;
   std::uint64_t accesses_total = 0;
 
+  // Size every buffer the loop fills from the stream's bounds up front, so
+  // the simulation loop never allocates.
   std::vector<SimAccess> accesses;
-  accesses.reserve(64);
+  accesses.reserve(stream.max_accesses_per_op());
+  hier.reserve(static_cast<std::size_t>(stream.max_lines(sim_ops)));
 
   for (std::uint64_t op = 0; op < sim_ops; ++op) {
     if (op == warmup_ops) {

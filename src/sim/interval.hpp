@@ -33,6 +33,7 @@
 // and pure (all state is local to the call), so the engine's bit-identity
 // guarantees hold for backend=interval exactly as for the analytic path.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -105,6 +106,12 @@ class SignatureStream {
 
   /// Appends the accesses the next op issues to `out` (not cleared).
   void next_op(std::vector<SimAccess>& out);
+
+  /// Most accesses one next_op() appends.
+  [[nodiscard]] std::size_t max_accesses_per_op() const;
+
+  /// Most distinct lines `ops` calls of next_op() can touch.
+  [[nodiscard]] std::uint64_t max_lines(std::uint64_t ops) const;
 
  private:
   double stream_lines_per_op_;

@@ -482,10 +482,18 @@ TEST(ObsMemsim, HierarchyEmitsCacheStatsAndCountsAccesses) {
   obs::Registry::global().reset();
   obs::SessionScope scope;
   const arch::MachineModel& m = arch::machine(arch::MachineId::Sg2044);
-  memsim::Hierarchy h(m, 2);
-  // A stream long enough to cross the 4096-access event stride.
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    (void)h.access(static_cast<int>(i % 2), i * 64, false);
+  {
+    // The Hierarchy tallies accesses and flushes them into the counter
+    // every 4096 accesses and when it is destroyed.
+    memsim::Hierarchy h(m, 2);
+    // A stream long enough to cross the 4096-access event stride.
+    for (std::uint64_t i = 0; i < 5000; ++i) {
+      (void)h.access(static_cast<int>(i % 2), i * 64, false);
+    }
+    EXPECT_EQ(obs::Registry::global()
+                  .counter("rvhpc_memsim_accesses_total")
+                  .value(),
+              4096u);
   }
   std::size_t cache_stats = 0;
   for (const obs::Instant& in : scope.session().instants()) {

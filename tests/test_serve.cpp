@@ -379,6 +379,31 @@ TEST(Service, LintRejectsImplausibleMachineTextWithDetail) {
   EXPECT_EQ(parsed(lax.handle_line(line)).find("status")->str, "ok");
 }
 
+TEST(Service, InlineMachineCostDoesNotScaleWithItsDeclaredCache) {
+  // A lint-clean SG2044 that declares a 2 GiB L3 and 256 GiB of DRAM.  A
+  // one-core interval request hands the whole L3 to the simulated core;
+  // a cache storing every line of its capacity cost ~770 MiB and half a
+  // second here.  The answer is pinned byte for byte to what that dense
+  // layout produced.
+  arch::MachineModel m = arch::machine("sg2044");
+  ASSERT_EQ(m.caches.size(), 3u);
+  m.caches[2].size_bytes = std::size_t{2} << 30;
+  m.memory.dram_gib = 256;
+  serve::Service::Options opts = no_persist();
+  opts.live_fields = false;
+  serve::Service svc(opts);
+  const std::string line =
+      R"({"id": "big-llc", "machine_text": ")" +
+      obs::json::escape(arch::to_text(m)) +
+      R"(", "kernel": "CG", "class": "S", "cores": 1, "backend": "interval"})";
+  EXPECT_EQ(svc.handle_line(line),
+            R"({"id": "big-llc", "status": "ok", "ran": true, )"
+            R"("backend": "interval", "machine": "sg2044", "kernel": "CG", )"
+            R"("class": "S", "cores": 1, "seconds": 0.36126345571335472, )"
+            R"("mops": 340.05653784554283, "bw_gbs": 1.0497898982091269, )"
+            R"("bottleneck": "compute", "vectorised": false})");
+}
+
 TEST(Service, TopologyMachineTextAdmitsThroughLintLikeAnyOther) {
   // The topology overlay (DESIGN.md §15) rides the same machine_text
   // admission path: a clean dual-socket machine predicts, a broken core

@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +26,8 @@
 #include "memsim/profile.hpp"
 #include "model/predictor.hpp"
 #include "model/signatures.hpp"
+#include "model/sweep.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/interval.hpp"
 
@@ -84,6 +89,97 @@ TEST(SimInterval, SeedChangesTheRunButNotItsShape) {
   EXPECT_GT(a.prediction.seconds, 0.0);
   EXPECT_NEAR(a.prediction.seconds / b.prediction.seconds, 1.0, 0.25);
   EXPECT_EQ(a.prediction.breakdown.dominant, b.prediction.breakdown.dominant);
+}
+
+// --- golden pin --------------------------------------------------------------
+
+/// FNV-1a over the bytes of every prediction field and interval counter.
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ull;
+  void bytes(const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ull;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void f64(double v) { bytes(&v, sizeof v); }
+  void str(const std::string& v) { bytes(v.data(), v.size()); }
+};
+
+// simulate() over every registry and topology machine x every kernel x
+// classes S and C x {1, all} cores, hashed field by field.  The constant
+// is the hash the dense-storage memsim::Cache produced: the interval
+// backend's predictions and counters must stay bit-identical to it.
+TEST(SimInterval, GoldenHashOverTheMachineGrid) {
+  std::vector<MachineId> ids = arch::all_machines();
+  for (MachineId id : arch::topo_machines()) ids.push_back(id);
+  Fnv fnv;
+  int points = 0;
+  for (MachineId id : ids) {
+    const arch::MachineModel& m = arch::machine(id);
+    for (int k = 0; k <= static_cast<int>(Kernel::Hpcg); ++k) {
+      const auto kernel = static_cast<Kernel>(k);
+      for (ProblemClass pc : {ProblemClass::S, ProblemClass::C}) {
+        const auto sig = model::signature(kernel, pc);
+        for (int cores : {1, m.cores}) {
+          const sim::IntervalReport r =
+              sim::simulate(m, sig, paper_cfg(m, kernel, cores));
+          const model::Prediction& p = r.prediction;
+          fnv.u64(p.ran);
+          fnv.str(p.dnr_reason);
+          fnv.f64(p.seconds);
+          fnv.f64(p.mops);
+          fnv.f64(p.achieved_bw_gbs);
+          fnv.u64(p.vector.vectorised);
+          fnv.f64(p.vector.unit_stride_speedup);
+          fnv.f64(p.vector.gather_speedup);
+          fnv.f64(p.vector.blended_speedup);
+          fnv.f64(p.breakdown.compute_s);
+          fnv.f64(p.breakdown.stream_s);
+          fnv.f64(p.breakdown.latency_s);
+          fnv.f64(p.breakdown.sync_s);
+          fnv.f64(p.breakdown.imbalance);
+          fnv.u64(static_cast<std::uint64_t>(p.breakdown.dominant));
+          const sim::IntervalCounters& c = r.counters;
+          fnv.u64(c.measured_ops);
+          fnv.u64(c.accesses);
+          fnv.u64(c.dram_lines);
+          for (std::uint64_t hits : c.level_hits) fnv.u64(hits);
+          fnv.f64(c.footprint_scale);
+          fnv.f64(c.dispatch_cycles);
+          fnv.f64(c.stream_stall_cycles);
+          fnv.f64(c.latency_stall_cycles);
+          fnv.f64(c.bw_bound_fraction);
+          ++points;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(points, 14 * 12 * 2 * 2);
+  EXPECT_EQ(fnv.h, 0xdbb9a4c734b4865bull) << std::hex << "0x" << fnv.h;
+}
+
+// The Hierarchy tallies its accesses and flushes them into
+// rvhpc_memsim_accesses_total no later than its destruction, so the
+// counter is exact whenever simulate() returns.
+TEST(SimInterval, AccessCounterIsExactWhenSimulateReturns) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& total =
+      obs::Registry::global().counter("rvhpc_memsim_accesses_total");
+  const arch::MachineModel& m = arch::machine(MachineId::Sg2044);
+  const auto sig = model::signature(Kernel::IS, ProblemClass::A);
+  const std::uint64_t before = total.value();
+  const sim::IntervalReport rep =
+      sim::simulate(m, sig, paper_cfg(m, Kernel::IS, 8));
+  const std::uint64_t after = total.value();
+  obs::set_metrics_enabled(was_enabled);
+  ASSERT_TRUE(rep.prediction.ran);
+  EXPECT_GT(rep.counters.accesses, 4096u) << "must cross the flush stride";
+  EXPECT_NE(rep.counters.accesses % 4096, 0u) << "and leave a remainder";
+  EXPECT_EQ(after - before, rep.counters.accesses);
 }
 
 // --- memsim agreement (satellite 3) -----------------------------------------
