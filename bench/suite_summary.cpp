@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nSelf-profile of this run (" << set.size()
             << " unique cells, " << engine::default_evaluator().jobs()
-            << " worker thread(s), ";
+            << " thread(s) at most, ";
   if (scope) {
     std::cout << scope->session().event_count() << " trace records";
   } else {

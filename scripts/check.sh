@@ -261,9 +261,10 @@ echo "-- rvhpc-client --http byte-identical to the stdio replay;" \
   "drain was graceful"
 
 echo "== configure (TSan) -> $build_dir-tsan"
-# TSan cannot combine with ASan, so the thread pool's owners get their own
-# build; the engine, obs and serve tests run there — they own all the
-# threading in the library.
+# TSan cannot combine with ASan, so the threaded code gets its own
+# build; the engine, obs, serve and net tests run there — they own all
+# the threading in the library (the one process-wide pool, the server's
+# compute queue, shards and flusher).
 cmake -B "$build_dir-tsan" -S "$repo_root" "${generator[@]}" \
   -DRVHPC_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo > /dev/null
@@ -272,14 +273,21 @@ cmake -B "$build_dir-tsan" -S "$repo_root" "${generator[@]}" \
 # self-scan keeps the baseline honest under a second compiler config.
 # test_sim exercises two concurrent memsim consumers (interval backend +
 # stall profiler), which only TSan can vouch for.
-# test_topo spins up domain-pinned thread pools (TopoPlacement) — the
-# placement counter and worker handoff belong under TSan too.
+# test_topo starts no thread of its own; it stays so the topology
+# charging on both backends and the A3xx lint pack also run under this
+# second compiler configuration.
 cmake --build "$build_dir-tsan" -j \
   --target test_engine test_obs test_serve test_net test_http test_analysis \
   test_sim test_topo
 echo "== TSan: test_engine + test_obs + test_serve + test_net + test_http" \
   "+ test_analysis + test_sim + test_topo"
 "$build_dir-tsan/tests/test_engine"
+# The pool's handoffs (run_chunks join/leave under a participant cap,
+# submit from inside a task, evaluator swaps) race only rarely, so the
+# pool tests run ten more times.
+"$build_dir-tsan/tests/test_engine" \
+  --gtest_filter='ThreadPool.*:BatchEvaluator.*:DefaultEvaluator.*' \
+  --gtest_repeat=10
 "$build_dir-tsan/tests/test_obs"
 "$build_dir-tsan/tests/test_serve"
 "$build_dir-tsan/tests/test_net"

@@ -59,7 +59,7 @@ bool parse_size(const std::string& text, std::size_t& out) {
 }
 
 std::string jobs_flag_help() {
-  return "  --jobs=N     worker threads (0 = every hardware thread)";
+  return "  --jobs=N     at most N worker threads (0 = every hardware thread)";
 }
 
 int apply_jobs_flag(int argc, char** argv) {

@@ -50,7 +50,7 @@ void print_help(std::ostream& os, const ToolInfo& tool);
 
 /// The one sentence every tool's usage block uses for --jobs, so the flag
 /// reads identically everywhere:
-///   "  --jobs=N     worker threads (0 = every hardware thread)"
+///   "  --jobs=N     at most N worker threads (0 = every hardware thread)"
 [[nodiscard]] std::string jobs_flag_help();
 
 /// Parses a non-negative decimal integer flag value ("16384") into `out`.
@@ -59,10 +59,12 @@ void print_help(std::ostream& os, const ToolInfo& tool);
 /// style flag, so each tool rejects bad numbers identically.
 [[nodiscard]] bool parse_size(const std::string& text, std::size_t& out);
 
-/// Scans argv for `--jobs=N` and sizes the engine's default evaluator
-/// pool (engine::set_default_jobs): N > 0 uses exactly N workers, N == 0
-/// uses every hardware thread (engine::hardware_jobs) — the same semantics
-/// on every binary.  Returns the effective worker count applied, 0 when
+/// Scans argv for `--jobs=N` and caps the engine's default evaluator
+/// (engine::set_default_jobs): N > 0 runs a batch on at most N threads,
+/// N == 0 on every hardware thread (engine::hardware_jobs) — the same
+/// semantics on every binary.  N is a cap on the process-wide pool of
+/// hardware_jobs() workers, so N above the host's hardware threads
+/// starts no extra thread.  Returns the effective worker count applied, 0 when
 /// the flag is absent or malformed.  Other arguments are left untouched.
 int apply_jobs_flag(int argc, char** argv);
 

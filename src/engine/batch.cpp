@@ -1,7 +1,6 @@
 #include "engine/batch.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <mutex>
 
 #include "engine/backend.hpp"
@@ -29,28 +28,6 @@ BatchEvaluator::BatchEvaluator() : BatchEvaluator(Options{}) {}
 BatchEvaluator::BatchEvaluator(Options opts)
     : jobs_(opts.jobs > 0 ? opts.jobs : default_jobs()),
       cache_(opts.cache_capacity) {}
-
-std::shared_ptr<ThreadPool> BatchEvaluator::pool() {
-  std::lock_guard lock(pool_mu_);
-  // The caller is the jobs-th participant of every run_chunks().
-  if (!pool_) pool_ = std::make_shared<ThreadPool>(jobs_ - 1);
-  return pool_;
-}
-
-int BatchEvaluator::pool_threads() const {
-  std::lock_guard lock(pool_mu_);
-  return pool_ ? pool_->size() : 0;
-}
-
-void BatchEvaluator::release_pool() {
-  std::shared_ptr<ThreadPool> old;
-  {
-    std::lock_guard lock(pool_mu_);
-    old.swap(pool_);
-  }
-  // `old` joins its workers here unless an evaluate() still holds it; the
-  // last holder joins them when its call returns.
-}
 
 std::vector<PredictionResult> BatchEvaluator::evaluate(const RequestSet& set) {
   obs::ScopedSpan span("engine", "evaluate");
@@ -83,21 +60,16 @@ std::vector<PredictionResult> BatchEvaluator::evaluate(const RequestSet& set) {
   };
 
   if (requests.empty()) return results;
-  if (jobs_ == 1 || requests.size() == 1) {
-    run_range(0, requests.size());
-  } else {
-    // Contiguous chunks, a few per participant, so µs-scale requests
-    // amortise the cursor traffic while uneven chunks still balance.
-    const std::size_t want = static_cast<std::size_t>(jobs_) * 4;
-    const std::size_t chunk =
-        std::max<std::size_t>(1, (requests.size() + want - 1) / want);
-    const std::size_t chunks = (requests.size() + chunk - 1) / chunk;
-    const std::shared_ptr<ThreadPool> workers = pool();
-    workers->run_chunks(chunks, [&run_range, &requests, chunk](std::size_t c) {
-      const std::size_t begin = c * chunk;
-      run_range(begin, std::min(begin + chunk, requests.size()));
-    });
-  }
+  // Contiguous chunks, a few per participant, so µs-scale requests
+  // amortise the cursor traffic while uneven chunks still balance.
+  const std::size_t want = static_cast<std::size_t>(jobs_) * 4;
+  const std::size_t chunk =
+      std::max<std::size_t>(1, (requests.size() + want - 1) / want);
+  const std::size_t chunks = (requests.size() + chunk - 1) / chunk;
+  parallel_for(chunks, jobs_, [&run_range, &requests, chunk](std::size_t c) {
+    const std::size_t begin = c * chunk;
+    run_range(begin, std::min(begin + chunk, requests.size()));
+  });
 
   if (span.active()) {
     span.arg("requests", std::to_string(requests.size()));
@@ -128,7 +100,7 @@ int g_default_jobs = 0;                         // 0 = auto
 /// Evaluators retired by set_default_jobs().  Callers may hold references
 /// across the swap, so old instances are never destroyed — parking them
 /// here (instead of plain-leaking the pointer) keeps them reachable and
-/// LeakSanitizer quiet.  Their thread pools are released on retirement.
+/// LeakSanitizer quiet.  They own no thread, only their memo cache.
 std::vector<BatchEvaluator*>& retired_evaluators() {
   static auto* retired = new std::vector<BatchEvaluator*>();
   return *retired;
@@ -150,9 +122,6 @@ void set_default_jobs(int jobs) {
   std::lock_guard lock(g_default_mu);
   g_default_jobs = jobs;
   if (g_default_evaluator && g_default_evaluator->jobs() != jobs) {
-    // Parked, not destroyed — but idle workers would otherwise live as
-    // long as the process, jobs - 1 of them per --jobs swap.
-    g_default_evaluator->release_pool();
     retired_evaluators().push_back(g_default_evaluator);
     BatchEvaluator::Options opts;
     opts.jobs = jobs;

@@ -1,16 +1,16 @@
 #pragma once
 // rvhpc::engine — BatchEvaluator: parallel, memoised, deterministic.
 //
-// evaluate() fans a RequestSet across a ThreadPool and returns results in
-// request order regardless of completion order — each chunk writes only its
-// own pre-allocated slots, so the output of a 1-thread and an 8-thread run
-// is identical byte for byte (predict() is pure; verified by test_engine).
+// evaluate() fans a RequestSet across the process-wide shared_pool() and
+// returns results in request order regardless of completion order — each
+// chunk writes only its own pre-allocated slots, so the output of a
+// 1-thread and an 8-thread run is identical byte for byte (predict() is
+// pure; verified by test_engine).
 //
-// The pool is the evaluator's own: `jobs - 1` workers, started lazily by
-// the first parallel evaluate() and kept until the evaluator dies or
-// release_pool() is called.  The calling thread is the jobs-th participant
-// (ThreadPool::run_chunks), so jobs=1 evaluators, and evaluators that never
-// evaluate a multi-request set, never start a thread.
+// `jobs` caps the participants of one evaluate(): the calling thread plus
+// at most jobs − 1 pool workers (ThreadPool::run_chunks).  An evaluator
+// owns no thread; jobs=1 evaluators, and evaluators that never evaluate a
+// multi-request set, never start the shared pool.
 //
 // A process-wide default evaluator (default_evaluator()) carries the shared
 // memo cache; bench binaries and model::sweep route through it so a run
@@ -23,8 +23,6 @@
 // reads, no writes) while obs::session() is non-null.
 
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "engine/cache.hpp"
@@ -32,13 +30,11 @@
 
 namespace rvhpc::engine {
 
-class ThreadPool;
-
 class BatchEvaluator {
  public:
   struct Options {
-    /// Worker threads; <= 0 means default_jobs() (RVHPC_JOBS env or
-    /// hardware_concurrency).
+    /// Most threads one evaluate() runs on, the caller included; <= 0
+    /// means default_jobs() (RVHPC_JOBS env or hardware_concurrency).
     int jobs = 0;
     /// Memo cache entries; 0 disables memoisation.
     std::size_t cache_capacity = PredictionCache::kDefaultCapacity;
@@ -52,7 +48,7 @@ class BatchEvaluator {
 
   /// Evaluates every request; result[i] corresponds to set.requests()[i].
   /// Safe to call concurrently from several threads, and from inside a
-  /// ThreadPool task.  An exception thrown by a prediction is rethrown to
+  /// shared_pool() task.  An exception thrown by a prediction is rethrown to
   /// this call only; the evaluator stays usable.
   [[nodiscard]] std::vector<PredictionResult> evaluate(const RequestSet& set);
 
@@ -64,20 +60,9 @@ class BatchEvaluator {
   [[nodiscard]] int jobs() const { return jobs_; }
   [[nodiscard]] PredictionCache& cache() { return cache_; }
 
-  /// Worker threads the evaluator currently owns: 0 until the first
-  /// parallel evaluate() (and always for jobs=1), jobs - 1 after it.
-  [[nodiscard]] int pool_threads() const;
-  /// Joins the worker pool once in-flight evaluate() calls finish with
-  /// it.  The next parallel evaluate() starts a fresh one.
-  void release_pool();
-
  private:
-  std::shared_ptr<ThreadPool> pool();
-
   int jobs_;
   PredictionCache cache_;
-  mutable std::mutex pool_mu_;
-  std::shared_ptr<ThreadPool> pool_;  ///< guarded by pool_mu_; lazy
 };
 
 /// The process-wide evaluator every migrated bench/example and the
@@ -85,11 +70,11 @@ class BatchEvaluator {
 /// set_default_jobs()'s value if one was set, else default_jobs().
 [[nodiscard]] BatchEvaluator& default_evaluator();
 
-/// Overrides the default evaluator's pool size (the --jobs=N flag, which
+/// Overrides the default evaluator's jobs cap (the --jobs=N flag, which
 /// cli::apply_jobs_flag parses).  Takes effect immediately: the evaluator
 /// is rebuilt if already constructed.  The retired evaluator stays valid
-/// for references still held, but its worker threads are released
-/// (restarted lazily if it evaluates again).
+/// for references still held; it owns no thread, so retiring it frees
+/// nothing but its place as the default.
 void set_default_jobs(int jobs);
 
 }  // namespace rvhpc::engine

@@ -2,48 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <string>
 #include <utility>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace rvhpc::engine {
-
-namespace {
-
-/// Best-effort: pin the calling thread to the `domain`-th of `domains`
-/// contiguous CPU blocks.  Returns whether the affinity call succeeded;
-/// any failure (no permission, exotic cpuset, non-Linux host) leaves the
-/// thread free-running, which is always correct, just unplaced.
-bool pin_to_domain(int domain, int domains, int hw) {
-#ifdef __linux__
-  if (domains <= 1 || hw < domains) return false;
-  const int per = hw / domains;                    // block size, >= 1
-  const int lo = domain * per;
-  const int hi = (domain == domains - 1) ? hw : lo + per;  // last takes slack
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  for (int cpu = lo; cpu < hi; ++cpu) CPU_SET(cpu, &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof set, &set) == 0;
-#else
-  (void)domain;
-  (void)domains;
-  (void)hw;
-  return false;
-#endif
-}
-
-}  // namespace
-
-PlacementHints placement_for(const arch::MachineModel& m) {
-  PlacementHints h;
-  if (!m.topology.flat())
-    h.domains = static_cast<int>(m.topology.domains.size());
-  return h;
-}
 
 int hardware_jobs() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -60,30 +21,17 @@ int default_jobs() {
   return hardware_jobs();
 }
 
-ThreadPool::ThreadPool(int threads) : ThreadPool(threads, PlacementHints{}) {}
-
-ThreadPool::ThreadPool(int threads, const PlacementHints& hints) {
-  const int n = std::max(threads, 1);
-  domains_ = std::max(hints.domains, 1);
-  // The gate: only place when the host actually has one CPU per domain.
-  // A single-CPU CI box therefore takes exactly the unhinted path.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const bool place = domains_ > 1 && hw >= domains_;
-  workers_.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const int domain = domain_of(i);
-    workers_.emplace_back([this, domain, place, hw] {
-      if (place && pin_to_domain(domain, domains_, hw)) ++placed_;
-      worker_loop();
-    });
-  }
+ThreadPool& shared_pool() {
+  // Never freed, like obs::Registry: a worker may still be parked in it
+  // while static destructors run.
+  static ThreadPool* const pool = new ThreadPool(hardware_jobs());
+  return *pool;
 }
 
-int ThreadPool::domain_of(int worker) const {
-  // Round-robin, so any pool size spreads as evenly as possible over the
-  // hinted domains (the same filled-first order topo::domains_spanned
-  // assumes is immaterial here: every domain hosts ceil/floor(n/d)).
-  return domains_ > 1 ? worker % domains_ : 0;
+ThreadPool::ThreadPool(int threads) {
+  const int n = std::max(threads, 1);
+  workers_.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -99,39 +47,30 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard lock(mu_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   work_cv_.notify_one();
 }
 
-void ThreadPool::wait() {
-  std::unique_lock lock(mu_);
-  idle_cv_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr e = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(e);
-  }
-}
-
-void ThreadPool::run_bulk(Bulk& job) {
+void ThreadPool::run_bulk(Bulk& job, int max_participants) {
   if (job.n == 0) return;
-  const std::size_t helpers =
-      std::min(static_cast<std::size_t>(size()), job.n - 1);
-  if (helpers > 0) {
+  // The caller is one participant; helpers fill the rest of the cap.
+  const auto cap =
+      static_cast<std::size_t>(std::max(max_participants - 1, 0));
+  job.limit = static_cast<int>(std::min({workers_.size(), cap, job.n - 1}));
+  if (job.limit > 0) {
     {
       std::lock_guard lock(mu_);
       job.next_bulk = bulk_head_;
       bulk_head_ = &job;
     }
-    if (helpers == workers_.size()) {
+    if (job.limit == size()) {
       work_cv_.notify_all();
     } else {
-      for (std::size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
+      for (int i = 0; i < job.limit; ++i) work_cv_.notify_one();
     }
   }
   drain(job);  // the caller claims chunks too, so progress never waits on a wake
-  if (helpers > 0) {
+  if (job.limit > 0) {
     std::unique_lock lock(mu_);
     unlink(job);
     // Unlinked: no helper can join any more.  Those still inside are
@@ -162,8 +101,13 @@ void ThreadPool::drain(Bulk& job) noexcept {
 ThreadPool::Bulk* ThreadPool::open_bulk() {
   Bulk** link = &bulk_head_;
   while (Bulk* job = *link) {
-    if (job->next.load(std::memory_order_relaxed) < job->n) return job;
-    *link = job->next_bulk;  // exhausted: nothing left for helpers
+    if (job->next.load(std::memory_order_relaxed) >= job->n) {
+      *link = job->next_bulk;  // exhausted: nothing left for helpers
+    } else if (job->helpers < job->limit) {
+      return job;
+    } else {
+      link = &job->next_bulk;  // at its cap: only its own helpers run it
+    }
   }
   return nullptr;
 }
@@ -203,16 +147,7 @@ void ThreadPool::worker_loop() {
       if (--job->helpers == 0) job->left_cv.notify_one();
       continue;
     }
-    try {
-      task();
-    } catch (...) {
-      std::lock_guard lock(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      std::lock_guard lock(mu_);
-      if (--in_flight_ == 0) idle_cv_.notify_all();
-    }
+    task();
   }
 }
 

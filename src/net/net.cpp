@@ -465,13 +465,71 @@ class CacheFlusher {
   std::thread thread_;
 };
 
+// --- ComputeQueue: the server's share of the process pool ----------------
+
+/// A FIFO of compute tasks of which at most `slots` run at once on
+/// engine::shared_pool(), so a server with jobs = N occupies at most N pool
+/// workers whatever else the process runs there.  Each running slot pulls
+/// the next task before it returns.  Destruction waits until no slot is
+/// running — after each task's whole body, on_complete() included — so
+/// the shards a task touches can be destroyed after it.
+class ComputeQueue {
+ public:
+  explicit ComputeQueue(int slots) : slots_(std::max(slots, 1)) {}
+  ~ComputeQueue() {
+    std::unique_lock lock(mu_);
+    idle_cv_.wait(lock, [this] { return running_ == 0; });
+  }
+  ComputeQueue(const ComputeQueue&) = delete;
+  ComputeQueue& operator=(const ComputeQueue&) = delete;
+
+  /// Queues `task` (which must not throw); starts a slot when one is free.
+  void submit(std::function<void()> task) {
+    bool start = false;
+    {
+      std::lock_guard lock(mu_);
+      queue_.push_back(std::move(task));
+      if (running_ < slots_) {
+        ++running_;
+        start = true;
+      }
+    }
+    if (start) engine::shared_pool().submit([this] { run_slot(); });
+  }
+
+ private:
+  void run_slot() {
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::lock_guard lock(mu_);
+        if (queue_.empty()) {
+          // Notify under mu_: the destructor may return as soon as
+          // running_ reads 0.
+          if (--running_ == 0) idle_cv_.notify_all();
+          return;
+        }
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      task();
+    }
+  }
+
+  const int slots_;
+  std::mutex mu_;
+  std::condition_variable idle_cv_;  ///< running_ dropped to 0
+  std::deque<std::function<void()>> queue_;
+  int running_ = 0;  ///< slots submitted to the pool and not yet returned
+};
+
 // --- Shard: one event loop ------------------------------------------------
 
 /// One poll() loop on its own thread.  The acceptor deals sockets in via
-/// adopt(); the compute pool reports finished futures via on_complete();
+/// adopt(); compute tasks report finished futures via on_complete();
 /// both poke the wakeup pipe so the loop reacts immediately instead of on
 /// the next poll timeout.  Every Connection is touched by exactly one
-/// shard thread — the pool only ever holds a weak_ptr it never
+/// shard thread — a compute task only ever holds a weak_ptr it never
 /// dereferences — so connection state needs no locks.
 class Shard {
  public:
@@ -790,7 +848,7 @@ bool Shard::admit_one(const std::shared_ptr<Connection>& cp) {
 
 /// The protocol-independent admission core: turns one request line into a
 /// Pending — resolved inline (overloaded rejection, parse/lint error,
-/// warm cache hit) or dispatched to the compute pool.  The raw wire
+/// warm cache hit) or dispatched to the compute queue.  The raw wire
 /// pushes the result onto Connection::pending; the HTTP front end onto
 /// the owning exchange's items.
 Pending Shard::evaluate_line(const std::shared_ptr<Connection>& cp,
@@ -862,7 +920,7 @@ void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
   server_.inflight_.fetch_add(1, std::memory_order_relaxed);
   bump(counters_.dispatched);
   std::weak_ptr<Connection> wk = cp;
-  server_.pool_->submit([this, task, wk = std::move(wk), seq] {
+  server_.compute_->submit([this, task, wk = std::move(wk), seq] {
     (*task)();
     const bool checkpoint_due = server_.service_.note_evaluation();
     server_.inflight_.fetch_sub(1, std::memory_order_relaxed);
@@ -1392,7 +1450,7 @@ void Shard::drain() {
   process_lines();
   // Answered, not dropped: every dispatched compute future completes and
   // delivers before sockets are torn down.  This wait is not grace-bounded
-  // — the pool outlives the shards precisely so it terminates.
+  // — the compute queue outlives the shards precisely so it terminates.
   while (true) {
     drain_completions();
     flush_writes();
@@ -1582,11 +1640,12 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
            serve::shutdown_requested();
   };
 
-  // One compute pool shared by every shard (sized by the service's jobs
-  // setting), one background cache flusher, N event loops.  The pool and
-  // the flusher must outlive the shards: shard drain waits on futures the
-  // pool is still running, and the flusher owns every cache checkpoint.
-  pool_ = std::make_unique<engine::ThreadPool>(service_.jobs());
+  // One compute queue shared by every shard (at most the service's jobs
+  // tasks at once on the process pool, which it starts on the first miss),
+  // one background cache flusher, N event loops.  The queue and the
+  // flusher must outlive the shards: shard drain waits on futures the
+  // queue is still running, and the flusher owns every cache checkpoint.
+  compute_ = std::make_unique<detail::ComputeQueue>(service_.jobs());
   flusher_ = std::make_unique<detail::CacheFlusher>(service_, log);
   shards_.clear();
   next_shard_ = 0;
@@ -1620,15 +1679,17 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
   }
 
   // Drain: stop accepting, then let every shard answer what it owes
-  // (buffered complete lines and in-flight futures) before the pool and
-  // the flusher wind down — the flusher's destructor performs the final
-  // cache checkpoint.
+  // (buffered complete lines and in-flight futures) before the compute
+  // queue and the flusher wind down — the flusher's destructor performs
+  // the final cache checkpoint.  The queue's destructor waits for every
+  // task this server queued, on_complete() included (a task whose
+  // connection closed mid-compute still pokes its shard), so the shards
+  // are destroyed only after it.
   listener_.close();
   http_listener_.close();
   for (auto& s : shards_) s->request_stop();
   for (auto& s : shards_) s->join();
-  pool_->wait();
-  pool_.reset();
+  compute_.reset();
   flusher_.reset();
   shards_.clear();
   publish_gauges();

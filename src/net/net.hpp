@@ -20,7 +20,7 @@
 //     read fd and a write fd instead of one socket.
 //
 // A connection's protocol is fixed by how it arrived, and every protocol
-// shares the one admission path, the compute pool, the ordering
+// shares the one admission path, the compute queue, the ordering
 // contract, the bounded-memory taxonomy and the drain contract below.
 //
 // Architecture (DESIGN.md §13): I/O and compute never share a thread.
@@ -28,18 +28,23 @@
 //   acceptor ──round-robin──▶ shard 0..N-1 (one poll() loop each)
 //                                 │ admit (cheap parse/lint)
 //                                 ▼
-//                         engine::ThreadPool ──futures──▶ completions
-//                                 ▲                            │
-//                                 └── wakeup pipe re-arms ◀────┘
+//                         compute queue ──futures──▶ completions
+//                      (≤ jobs tasks at once on           │
+//                       engine::shared_pool())            │
+//                                 ▲                       │
+//                                 └── wakeup pipe re-arms ◀┘
 //
 // The acceptor thread (the caller of run()/run_stdio()) owns the
 // listeners and deals accepted sockets round-robin to N event-loop
 // shards; each shard owns its connections exclusively and runs its own
 // poll() loop with a wakeup pipe.  A shard splits every request line
 // through serve::Service::admit() — the cheap parse/admission phase —
-// and dispatches the compute phase to the shared engine ThreadPool as a
-// std::future; a completed future pokes the shard's wakeup pipe so the
-// response is flushed immediately instead of on the next poll tick.
+// and dispatches the compute phase as a std::future to the server's
+// compute queue: a FIFO of which at most the service's jobs() tasks run
+// at once, on the process-wide engine::shared_pool() (the server owns no
+// compute thread, and the pool starts on the first miss, not before).  A
+// completed future pokes the shard's wakeup pipe so the response is
+// flushed immediately instead of on the next poll tick.
 // Responses complete out of order per connection: requests carrying an
 // "id" are answered as soon as their future resolves (the id is echoed so
 // clients can match), requests without an "id" are answered in request
@@ -62,8 +67,9 @@
 // Shutdown: SIGTERM/SIGINT (serve::install_shutdown_handlers), stop(), or
 // — for run_stdio() — the stdio connection closing stops accepting,
 // answers every complete request line already buffered, waits for every
-// in-flight compute future (answered, not dropped), flushes write buffers
-// (bounded grace) and the persistent cache, and returns.  The Server
+// in-flight compute future (answered, not dropped) and for every task the
+// server queued to finish, flushes write buffers (bounded grace) and the
+// persistent cache, and returns.  The Server
 // ignores SIGPIPE: a reader that goes away is a disconnect, never a
 // killed process.
 
@@ -77,9 +83,6 @@
 
 namespace rvhpc::serve {
 class Service;
-}
-namespace rvhpc::engine {
-class ThreadPool;
 }
 
 namespace rvhpc::net {
@@ -110,7 +113,7 @@ struct ServerOptions {
   bool json_listener = true;
   /// Also serve HTTP/1.1 (POST /v1/predict, GET /metrics, GET /healthz —
   /// DESIGN.md §14) on `http_port`.  Both protocols share the shards, the
-  /// service and the compute pool; a connection's protocol is fixed by
+  /// service and the compute queue; a connection's protocol is fixed by
   /// the listener that accepted it.
   bool http = false;
   /// Port for the HTTP listener; 0 picks an ephemeral port (reported by
@@ -168,7 +171,7 @@ struct ServerOptions {
 struct ServerStats {
   std::uint64_t accepted = 0;    ///< connections accepted (incl. refused)
   std::uint64_t answered = 0;    ///< response lines delivered to write buffers
-  std::uint64_t dispatched = 0;  ///< compute phases handed to the pool
+  std::uint64_t dispatched = 0;  ///< compute phases queued for the pool
   std::uint64_t inflight = 0;    ///< of those, not yet completed (a gauge)
   std::uint64_t bytes_in = 0;    ///< payload bytes received
   std::uint64_t bytes_out = 0;   ///< response bytes written
@@ -215,13 +218,14 @@ class Listener {
 namespace detail {
 class Shard;
 class CacheFlusher;
+class ComputeQueue;
 struct ShardCounters;
 }  // namespace detail
 
 class Server {
  public:
   /// The Service outlives the Server; request lines are admitted by
-  /// service.admit on a shard thread and completed on the engine pool.
+  /// service.admit on a shard thread and completed on engine::shared_pool().
   Server(serve::Service& service, ServerOptions opts);
   ~Server();
   Server(const Server&) = delete;
@@ -238,11 +242,11 @@ class Server {
     return http_listener_.port();
   }
 
-  /// Accept loop: spawns the shards, the compute pool and the background
-  /// cache flusher, then deals accepted sockets round-robin until stop()
-  /// or serve::shutdown_requested().  Drains (buffered requests answered,
-  /// in-flight futures completed, write buffers and the persistent cache
-  /// flushed) and logs a "net: drained" summary before returning.
+  /// Accept loop: spawns the shards and the background cache flusher,
+  /// then deals accepted sockets round-robin until stop() or
+  /// serve::shutdown_requested().  Drains (buffered requests answered,
+  /// every queued compute task finished, write buffers and the persistent
+  /// cache flushed) and logs a "net: drained" summary before returning.
   void run(std::ostream& log);
 
   /// Serves one raw-wire connection that reads `in_fd` and writes
@@ -274,7 +278,7 @@ class Server {
   Listener listener_;       ///< raw JSON-lines protocol
   Listener http_listener_;  ///< HTTP/1.1 front end (when opts_.http)
   std::vector<std::unique_ptr<detail::Shard>> shards_;
-  std::unique_ptr<engine::ThreadPool> pool_;
+  std::unique_ptr<detail::ComputeQueue> compute_;
   std::unique_ptr<detail::CacheFlusher> flusher_;
   std::size_t next_shard_ = 0;  ///< round-robin deal cursor
   std::atomic<bool> stop_{false};

@@ -547,19 +547,13 @@ std::string Service::replay(const std::string& path, std::ostream& out,
   }
 
   std::vector<std::string> responses(lines.size());
-  {
-    engine::ThreadPool pool(jobs_);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      pool.submit([this, &lines, &responses, i] {
-        try {
-          responses[i] = handle_line(lines[i]);
-        } catch (const std::exception& e) {
-          responses[i] = error_json("", "internal", e.what());
-        }
-      });
+  engine::parallel_for(lines.size(), jobs_, [&](std::size_t i) {
+    try {
+      responses[i] = handle_line(lines[i]);
+    } catch (const std::exception& e) {
+      responses[i] = error_json("", "internal", e.what());
     }
-    pool.wait();
-  }
+  });
   opts_.live_fields = was_live;
 
   // Request order, not completion order: replay output is a document.
@@ -584,7 +578,7 @@ std::string Service::replay(const std::string& path, std::ostream& out,
      << (s.ok - s.cache_hits) << " misses  (cache-hit-rate: " << hit_rate
      << "%)\n"
      << "  cache-restored: " << s.restored << "\n"
-     << "  pool:           " << jobs_ << " worker thread(s)\n";
+     << "  jobs:           " << jobs_ << " at most\n";
   return os.str();
 }
 

@@ -95,8 +95,9 @@ struct ServiceStats {
 class Service {
  public:
   struct Options {
-    /// Worker threads evaluating admitted requests; <= 0 means
-    /// engine::default_jobs() (RVHPC_JOBS or hardware_concurrency).
+    /// Most requests evaluated at once on engine::shared_pool() (a replay,
+    /// or a net::Server's computes); <= 0 means engine::default_jobs()
+    /// (RVHPC_JOBS or hardware_concurrency).
     int jobs = 0;
     /// Maximum requests dispatched to the compute pool and not yet
     /// completed (live mode; net::Server enforces it).  A request arriving
@@ -139,7 +140,8 @@ class Service {
   std::size_t start(std::ostream& log);
 
   /// Batch-replays a request log: every line is admitted (no backlog
-  /// rejection — replay is offline), evaluated across the pool, and
+  /// rejection — replay is offline), evaluated on the calling thread and
+  /// at most jobs() − 1 engine::shared_pool() workers, and
   /// answered in *request order* with deterministic fields only.  Returns
   /// the human-readable summary block (also used by scripts/check.sh:
   /// keep the "cache-hit-rate:" and "cache-restored:" tokens stable).

@@ -4,12 +4,17 @@
 // 2 or 8 workers must produce bit-identical predictions in request order.
 // Everything else (memoisation, counters, the --jobs flag) layers on top.
 
+#include <unistd.h>
+
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <future>
+#include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -23,8 +28,11 @@
 #include "engine/request.hpp"
 #include "engine/thread_pool.hpp"
 #include "model/sweep.hpp"
+#include "net/loopback.hpp"
+#include "net/net.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "serve/service.hpp"
 
 namespace {
 
@@ -103,6 +111,33 @@ int settled_threads(int want) {
   return n;
 }
 #endif
+
+serve::Service::Options service_options(int jobs) {
+  serve::Service::Options o;
+  o.jobs = jobs;
+  return o;
+}
+
+/// A replay log of `lines` distinct analytic requests in a temp file,
+/// removed on destruction.
+struct TempLog {
+  std::string path;
+  TempLog(const std::string& name, int lines)
+      : path((std::filesystem::temp_directory_path() /
+              ("rvhpc_test_engine_" + name + "_" +
+               std::to_string(::getpid()) + ".jsonl"))
+                 .string()) {
+    std::ofstream f(path);
+    for (int i = 1; i <= lines; ++i) {
+      f << "{\"id\": \"r" << i
+        << "\", \"machine\": \"sg2044\", \"kernel\": \"CG\", \"cores\": "
+        << i << "}\n";
+    }
+  }
+  ~TempLog() { std::filesystem::remove(path); }
+  TempLog(const TempLog&) = delete;
+  TempLog& operator=(const TempLog&) = delete;
+};
 
 engine::BatchEvaluator make(int jobs, std::size_t cache_capacity) {
   engine::BatchEvaluator::Options opts;
@@ -196,6 +231,10 @@ TEST(BatchEvaluator, ConcurrentCallersAreBitIdenticalToSerial) {
   const engine::RequestSet set = mixed_set();
   const auto base = make(1, 0).evaluate(set);
   auto pooled = make(4, 0);
+#ifdef __linux__
+  (void)pooled.evaluate(set);  // starts the shared pool
+  const int with_pool = live_threads();
+#endif
   constexpr int kRounds = 10;
   std::vector<std::vector<engine::PredictionResult>> a(kRounds), b(kRounds);
   std::thread ta([&] {
@@ -210,18 +249,24 @@ TEST(BatchEvaluator, ConcurrentCallersAreBitIdenticalToSerial) {
     expect_same_batch(a[r], base);
     expect_same_batch(b[r], base);
   }
-  EXPECT_EQ(pooled.pool_threads(), 3);  // one pool, shared by both callers
+#ifdef __linux__
+  // Both callers borrowed the one shared pool: once their own threads
+  // are gone the process runs just the pool and this thread.
+  EXPECT_EQ(settled_threads(with_pool), with_pool);
+#endif
 }
 
 TEST(BatchEvaluator, EvaluateFromInsidePoolTaskCompletes) {
   const engine::RequestSet set = mixed_set();
   const auto base = make(1, 0).evaluate(set);
   auto pooled = make(3, 0);
-  // The outer pool's only worker blocks in evaluate(); the evaluator's own
-  // helpers and the calling worker must finish the batch between them.
-  engine::ThreadPool outer(1);
+  // A shared-pool worker calls evaluate() and so borrows the pool it runs
+  // on: it is the first participant of its own run_chunks and can finish
+  // the batch alone when no other worker is free.
+  std::promise<std::vector<engine::PredictionResult>> done;
   std::future<std::vector<engine::PredictionResult>> nested =
-      outer.submit_future([&] { return pooled.evaluate(set); });
+      done.get_future();
+  engine::shared_pool().submit([&] { done.set_value(pooled.evaluate(set)); });
   ASSERT_EQ(nested.wait_for(std::chrono::seconds(60)),
             std::future_status::ready);
   expect_same_batch(nested.get(), base);
@@ -230,9 +275,12 @@ TEST(BatchEvaluator, EvaluateFromInsidePoolTaskCompletes) {
   // on the same pool: the callers finish their inner loops themselves.
   engine::ThreadPool pool(2);
   std::atomic<int> inner{0};
-  pool.run_chunks(6, [&](std::size_t) {
-    pool.run_chunks(8, [&](std::size_t) { inner.fetch_add(1); });
-  });
+  pool.run_chunks(
+      6,
+      [&](std::size_t) {
+        pool.run_chunks(8, [&](std::size_t) { inner.fetch_add(1); }, 3);
+      },
+      3);
   EXPECT_EQ(inner.load(), 48);
 }
 
@@ -258,14 +306,22 @@ TEST(BatchEvaluator, ThrowingRequestRethrowsFromItsOwnCallOnly) {
   EXPECT_THROW((void)pooled.evaluate(bad), std::invalid_argument);
   other.join();
   expect_same_batch(concurrent, base);
-  // The evaluator, its pool and wait()'s channel are all left clean.
+  // The evaluator and the shared pool are both left clean.
   expect_same_batch(pooled.evaluate(good), base);
   EXPECT_THROW((void)pooled.evaluate(bad), std::invalid_argument);
   expect_same_batch(pooled.evaluate(good), base);
 }
 
 TEST(BatchEvaluator, SerialAndIdleEvaluatorsStartNoThreads) {
+  // Nothing may start a thread before the first parallel call: perfbench
+  // forks its server children from a process that must run no other
+  // thread, and a child inherits no pool workers.  (ctest runs every test
+  // in a fresh process, so the shared pool has not started yet here.)
   const engine::RequestSet set = mixed_set();
+  const auto base = make(1, 0).evaluate(set);
+  const int hw = engine::hardware_jobs();
+  const TempLog log_file("no_threads", 12);
+  std::ostringstream out, log;
 #ifdef __linux__
   // Runtime helpers (a sanitizer's background thread) start with the
   // process's first extra thread; start one first so `before` counts them.
@@ -273,26 +329,62 @@ TEST(BatchEvaluator, SerialAndIdleEvaluatorsStartNoThreads) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const int before = live_threads();
 #endif
-  auto idle = make(4, 0);
-  auto serial = make(1, 0);
-  (void)serial.evaluate(set);
-  EXPECT_EQ(idle.pool_threads(), 0);
-  EXPECT_EQ(serial.pool_threads(), 0);
+  {
+    auto idle = make(4, 0);
+    auto wide = make(hw + 8, 0);
+    auto serial = make(1, 0);
+    expect_same_batch(serial.evaluate(set), base);
+    serve::Service serial_svc(service_options(1));
+    (void)serial_svc.replay(log_file.path, out, log);
+    serve::Service svc(service_options(hw + 8));
+    net::Server server(svc, net::ServerOptions{});
+    server.open(log);
 #ifdef __linux__
-  EXPECT_EQ(live_threads(), before);
+    EXPECT_EQ(live_threads(), before);
 #endif
+  }
 
-  // The pool starts on the first parallel evaluate() and is released on
-  // demand; the caller is the fourth participant.
-  (void)idle.evaluate(set);
-  EXPECT_EQ(idle.pool_threads(), 3);
+  // Census: the process pool is hardware_jobs() workers, and no jobs
+  // value — not even one past the host's hardware threads — adds to it.
+  const engine::ThreadPool& pool = engine::shared_pool();
+  EXPECT_EQ(pool.size(), hw);
 #ifdef __linux__
-  EXPECT_EQ(live_threads(), before + 3);
+  const int with_pool = live_threads();
+  EXPECT_LE(with_pool, before + pool.size());
 #endif
-  idle.release_pool();
-  EXPECT_EQ(idle.pool_threads(), 0);
+  // Kept alive through the count: an evaluator owns no worker.
+  std::vector<std::unique_ptr<engine::BatchEvaluator>> evaluators;
+  for (int jobs : {2, hw, hw + 8}) {
+    evaluators.push_back(std::make_unique<engine::BatchEvaluator>(
+        engine::BatchEvaluator::Options{jobs, 0}));
+    expect_same_batch(evaluators.back()->evaluate(set), base);
+  }
+  serve::Service wide_svc(service_options(hw + 8));
+  (void)wide_svc.replay(log_file.path, out, log);
 #ifdef __linux__
-  EXPECT_EQ(settled_threads(before), before);
+  EXPECT_EQ(live_threads(), with_pool);
+#endif
+  {
+    // A server adds its acceptor, its one shard and its cache flusher;
+    // its computes run on the shared pool.
+    net::LoopbackServer s(net::ServerOptions{}, service_options(hw + 8));
+    net::LoopbackClient cl(s.server.port());
+    ASSERT_TRUE(cl.connected());
+    std::string batch;
+    for (int cores : {1, 2, 4, 8}) {
+      batch += "{\"id\": \"m" + std::to_string(cores) +
+               "\", \"machine\": \"sg2042\", \"kernel\": \"IS\", "
+               "\"cores\": " + std::to_string(cores) + "}\n";
+    }
+    ASSERT_TRUE(cl.send_all(batch));
+    for (int i = 0; i < 4; ++i) EXPECT_NE(cl.recv_line(), "");
+    EXPECT_EQ(s.server.stats().dispatched, 4u);
+#ifdef __linux__
+    EXPECT_EQ(live_threads(), with_pool + 3);
+#endif
+  }
+#ifdef __linux__
+  EXPECT_EQ(settled_threads(with_pool), with_pool);
 #endif
 }
 
@@ -433,77 +525,110 @@ TEST(PredictionCache, EntriesReplayedInReverseReproducesRecency) {
   EXPECT_TRUE(replayed.get(4).has_value());
 }
 
-TEST(ThreadPool, RethrowsFirstTaskExceptionFromWait) {
-  engine::ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait(), std::runtime_error);
-  // The pool must stay usable after an error batch.
-  int done = 0;
-  pool.submit([&] { done = 1; });
-  pool.wait();
-  EXPECT_EQ(done, 1);
-}
-
 TEST(ThreadPool, SubmitFutureDeliversValueAndOwnsItsException) {
+  // submit() tasks must not throw, so a caller that wants a value or an
+  // error back carries it in the task — the way net::Server dispatches
+  // its computes, as a std::packaged_task.
   engine::ThreadPool pool(2);
-  std::future<int> ok = pool.submit_future([] { return 41 + 1; });
-  EXPECT_EQ(ok.get(), 42);
-
-  // The future owns the task's exception; wait()'s fire-and-forget error
-  // channel must stay clean so batch callers never see serving errors.
+  const auto submit_future = [&pool](auto fn) {
+    auto task = std::make_shared<std::packaged_task<int()>>(std::move(fn));
+    std::future<int> result = task->get_future();
+    pool.submit([task] { (*task)(); });
+    return result;
+  };
+  EXPECT_EQ(submit_future([] { return 41 + 1; }).get(), 42);
   std::future<int> bad =
-      pool.submit_future([]() -> int { throw std::runtime_error("boom"); });
+      submit_future([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(bad.get(), std::runtime_error);
-  EXPECT_NO_THROW(pool.wait());
+  // The pool keeps working after a task's error went to its future.
+  EXPECT_EQ(submit_future([] { return 7; }).get(), 7);
 }
 
 TEST(ThreadPool, RunChunksRunsEveryChunkOnceAndOwnsItsException) {
   engine::ThreadPool pool(3);
+  const int all = pool.size() + 1;
   std::vector<std::atomic<int>> hits(1000);
-  pool.run_chunks(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.run_chunks(
+      hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, all);
   for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
 
-  EXPECT_THROW(pool.run_chunks(100,
-                               [](std::size_t i) {
-                                 if (i == 37) throw std::runtime_error("chunk");
-                               }),
+  EXPECT_THROW(pool.run_chunks(
+                   100,
+                   [](std::size_t i) {
+                     if (i == 37) throw std::runtime_error("chunk");
+                   },
+                   all),
                std::runtime_error);
-  // The error belongs to that call: wait()'s submit() channel is clean and
-  // the pool keeps working.
-  EXPECT_NO_THROW(pool.wait());
+  // The error belongs to that call: the pool keeps working.
   std::atomic<int> total{0};
-  pool.run_chunks(10, [&](std::size_t) { total.fetch_add(1); });
+  pool.run_chunks(10, [&](std::size_t) { total.fetch_add(1); }, all);
   EXPECT_EQ(total.load(), 10);
-  pool.run_chunks(0, [](std::size_t) { FAIL() << "no chunk to run"; });
+  pool.run_chunks(0, [](std::size_t) { FAIL() << "no chunk to run"; }, all);
+}
+
+TEST(ThreadPool, RunChunksNeverExceedsItsParticipantCap) {
+  engine::ThreadPool pool(4);
+  // A rival caller keeps the other workers awake and joining jobs, so a
+  // worker woken for its work must still respect this call's cap.
+  std::atomic<bool> stop{false};
+  std::thread rival([&] {
+    while (!stop.load()) {
+      pool.run_chunks(
+          32,
+          [](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+          },
+          pool.size() + 1);
+    }
+  });
+  for (int max : {1, 2, pool.size() + 1}) {
+    std::atomic<int> inside{0};
+    std::atomic<int> peak{0};
+    pool.run_chunks(
+        64,
+        [&](std::size_t) {
+          const int now = inside.fetch_add(1) + 1;
+          int seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+          inside.fetch_sub(1);
+        },
+        max);
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), max) << "max_participants = " << max;
+  }
+  stop.store(true);
+  rival.join();
 }
 
 TEST(DefaultEvaluator, RetiredEvaluatorsReleaseTheirThreads) {
   const engine::RequestSet set = mixed_set();
   const auto base = make(1, 0).evaluate(set);
   engine::set_default_jobs(2);
-  (void)engine::default_evaluator().evaluate(set);
+  (void)engine::default_evaluator().evaluate(set);  // starts the shared pool
   engine::BatchEvaluator& held = engine::default_evaluator();
-  ASSERT_EQ(held.pool_threads(), 1);
 #ifdef __linux__
   const int before = live_threads();
 #endif
 
-  // Each --jobs swap retires the previous default evaluator; only the
-  // current one (jobs=2 again at the end) may keep workers.
-  for (int jobs : {3, 4, 3, 2}) {
+  // Each --jobs swap retires the previous default evaluator.  Evaluators
+  // own no thread, so swaps — even to a cap past the host's hardware
+  // threads — pile none up.
+  for (int jobs : {3, 4, engine::hardware_jobs() + 8, 3, 2}) {
     engine::set_default_jobs(jobs);
+    EXPECT_EQ(engine::default_evaluator().jobs(), jobs);
     (void)engine::default_evaluator().evaluate(set);
   }
-  EXPECT_EQ(held.pool_threads(), 0);
-  EXPECT_EQ(engine::default_evaluator().pool_threads(), 1);
 #ifdef __linux__
-  EXPECT_EQ(settled_threads(before), before);
+  EXPECT_EQ(live_threads(), before);
 #endif
 
-  // A reference held across the swap still evaluates, restarting lazily.
+  // A reference held across the swap still evaluates.
   expect_same_batch(held.evaluate(set), base);
-  EXPECT_EQ(held.pool_threads(), 1);
-  held.release_pool();
+#ifdef __linux__
+  EXPECT_EQ(live_threads(), before);
+#endif
   engine::set_default_jobs(engine::default_jobs());  // restore for later tests
 }
 

@@ -17,6 +17,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -27,6 +28,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,6 +36,7 @@
 #include "net/loopback.hpp"
 #include "net/net.hpp"
 #include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "serve/persist.hpp"
 #include "serve/service.hpp"
 
@@ -574,6 +577,57 @@ TEST(NetServer, SigtermDrainAnswersInFlightComputes) {
     }
   }
   serve::reset_shutdown();
+}
+
+/// Most spans named `category`/`name` open at any one instant of
+/// `session` (spans that merely touch do not overlap).
+std::size_t peak_overlap(const obs::TraceSession& session,
+                         const std::string& category,
+                         const std::string& name, std::size_t& spans) {
+  std::vector<std::pair<double, int>> edges;  // (time, +1 open / -1 close)
+  spans = 0;
+  for (const obs::Span& sp : session.spans()) {
+    if (sp.category != category || sp.name != name) continue;
+    ++spans;
+    edges.emplace_back(sp.start_us, 1);
+    edges.emplace_back(sp.start_us + sp.dur_us, -1);
+  }
+  std::sort(edges.begin(), edges.end());  // a close sorts before an open
+  std::size_t open = 0, peak = 0;
+  for (const auto& [t, step] : edges) {
+    open = step > 0 ? open + 1 : open - 1;
+    peak = std::max(peak, open);
+  }
+  return peak;
+}
+
+TEST(NetServer, JobsCapsTheComputesRunningAtOnce) {
+  // The server's computes run on the process-wide pool, which has a
+  // worker per hardware thread; `jobs` alone bounds how many of them one
+  // server keeps busy.  Service::complete records one serve/request span
+  // per miss, so the trace shows the bound directly.
+  for (int jobs : {1, 2}) {
+    obs::SessionScope scope;
+    {
+      serve::Service::Options sopts;
+      sopts.jobs = jobs;
+      net::LoopbackServer s({}, sopts);
+      net::LoopbackClient cl(s.server.port());
+      ASSERT_TRUE(cl.connected());
+      std::string batch;
+      for (int i = 0; i < 8; ++i) {
+        batch += slow_line("j" + std::to_string(i), 24 + i);
+      }
+      ASSERT_TRUE(cl.send_all(batch));
+      for (int i = 0; i < 8; ++i) ASSERT_NE(cl.recv_line(), "");
+    }
+    std::size_t spans = 0;
+    const std::size_t peak =
+        peak_overlap(scope.session(), "serve", "request", spans);
+    EXPECT_EQ(spans, 8u);
+    EXPECT_GE(peak, 1u);
+    EXPECT_LE(peak, static_cast<std::size_t>(jobs)) << "jobs = " << jobs;
+  }
 }
 
 // --- shards ---------------------------------------------------------------
