@@ -265,9 +265,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Server-side exchange latency for the summary: everything after the
-  // warm-up contributes.
-  obs::Histogram& lat = obs::Registry::global().histogram(
+  // Server-side exchange latency for the summary, from this server's own
+  // registry: everything after the warm-up contributes.
+  obs::Histogram& lat = s.server.registry().histogram(
       "rvhpc_http_request_duration_seconds");
   lat.reset();
 

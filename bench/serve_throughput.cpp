@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -149,9 +150,19 @@ OrderingResult run_ordering_phase() {
   return r;
 }
 
+/// End-to-end latency of one run, from its service's
+/// rvhpc_serve_request_latency_seconds histogram.
+struct Latency {
+  double p50_us = 0.0;
+  double p99_us = 0.0;
+  std::uint64_t count = 0;
+};
+
 /// Wall time for `kClients` connections x `kPerClient` distinct uncached
-/// interval requests against a fresh server (cold cache every run).
-double timed_run_seconds(std::size_t shards, int jobs) {
+/// interval requests against a fresh server (cold cache every run); fills
+/// `latency` when given.
+double timed_run_seconds(std::size_t shards, int jobs,
+                         Latency* latency = nullptr) {
   constexpr int kClients = 4;
   constexpr int kPerClient = 24;
 
@@ -191,6 +202,12 @@ double timed_run_seconds(std::size_t shards, int jobs) {
   }
   for (auto& t : clients) t.join();
   const double secs = std::chrono::duration<double>(Clock::now() - t0).count();
+  if (latency) {
+    const obs::Histogram& lat = s.service.registry().histogram(
+        "rvhpc_serve_request_latency_seconds");
+    *latency = {lat.percentile(50.0) * 1e6, lat.percentile(99.0) * 1e6,
+                lat.count()};
+  }
   return failures.load() == 0 ? secs : -1.0;
 }
 
@@ -257,20 +274,17 @@ int main(int argc, char** argv) {
   }
   const double speedup = t_base / t_shard;
 
-  // Dedicated measurement run for the latency summary: reset the
-  // end-to-end histogram so the percentiles describe exactly one
-  // shards=2 / jobs=4 workload.
-  obs::Histogram& lat = obs::Registry::global().histogram(
-      "rvhpc_serve_request_latency_seconds");
-  lat.reset();
-  const double t_meas = timed_run_seconds(/*shards=*/2, /*jobs=*/4);
+  // Dedicated measurement run for the latency summary: its fresh service's
+  // end-to-end histogram describes exactly one shards=2 / jobs=4 workload.
+  Latency lat;
+  const double t_meas = timed_run_seconds(/*shards=*/2, /*jobs=*/4, &lat);
   if (t_meas < 0.0) {
     std::cerr << "FAIL: the measurement run lost a connection\n";
     return 1;
   }
   const double rps = static_cast<double>(kRequests) / t_meas;
-  const double p50_us = lat.percentile(50.0) * 1e6;
-  const double p99_us = lat.percentile(99.0) * 1e6;
+  const double p50_us = lat.p50_us;
+  const double p99_us = lat.p99_us;
 
   report::Table t({"config", "seconds", "requests/s", "speedup"});
   t.add_row({"shards=1 jobs=1", report::fmt(t_base, 3),
@@ -281,7 +295,7 @@ int main(int argc, char** argv) {
   std::cout << "\n"
             << t.render() << "\np50 " << report::fmt(p50_us, 0) << " us, p99 "
             << report::fmt(p99_us, 0) << " us end to end ("
-            << static_cast<std::uint64_t>(lat.count())
+            << lat.count
             << " requests)\nhardware threads: " << hw << "\n";
 
   // --- BENCH_serve.json -----------------------------------------------------

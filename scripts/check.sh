@@ -242,10 +242,23 @@ if command -v curl > /dev/null 2>&1; then
     | LC_ALL=C sort > "$serve_tmp/http_curl.jsonl"
   cmp "$serve_tmp/http_curl.jsonl" "$serve_tmp/stdio_sorted.jsonl"
   curl -sS "http://127.0.0.1:$hport/healthz" | grep -q '"serving"'
-  curl -sS "http://127.0.0.1:$hport/metrics" \
-    | grep -q 'rvhpc_http_requests_total{route="/v1/predict",status="200"}'
+  # One scrape after the batch: the service counted every fixture line
+  # exactly once, and no series is rendered twice (the process registry,
+  # the service's and the server's never share a name).
+  curl -sS "http://127.0.0.1:$hport/metrics" > "$serve_tmp/metrics.txt"
+  grep -q 'rvhpc_http_requests_total{route="/v1/predict",status="200"}' \
+    "$serve_tmp/metrics.txt"
+  fixture_lines="$(grep -c '[^[:space:]]' "$fixture")"
+  grep -qx "rvhpc_serve_requests_total $fixture_lines" "$serve_tmp/metrics.txt"
+  dupes="$(grep -v '^#' "$serve_tmp/metrics.txt" | sed 's/ [^ ]*$//' \
+    | LC_ALL=C sort | uniq -d)"
+  if [ -n "$dupes" ]; then
+    echo "error: /metrics renders these series twice: $dupes" >&2
+    kill "$http_pid" 2> /dev/null || true
+    exit 1
+  fi
   echo "-- curl batch POST byte-identical to the stdio replay;" \
-    "/metrics and /healthz answer"
+    "/metrics counts $fixture_lines requests once each; /healthz answers"
 else
   echo "-- curl not found; relying on rvhpc-client --http"
 fi

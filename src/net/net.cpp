@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <condition_variable>
 #include <csignal>
@@ -54,109 +53,19 @@ std::string error_line(const char* kind, const std::string& message) {
   return error_body(kind, message) + "\n";
 }
 
-// --- net-level metrics ----------------------------------------------------
-
-enum class Count { Connection, Answered };
-
-void count(Count which, std::uint64_t n = 1) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& conns = obs::Registry::global().counter(
-      "rvhpc_net_connections_total", "TCP connections accepted");
-  static obs::Counter& answered = obs::Registry::global().counter(
-      "rvhpc_net_requests_total", "request lines answered over TCP");
-  switch (which) {
-    case Count::Connection: conns.add(n); break;
-    case Count::Answered:   answered.add(n); break;
-  }
+/// The HTTP request counter of one route and status; the label set is
+/// part of the registry name.
+std::string http_series(const char* route, int status) {
+  std::string name = "rvhpc_http_requests_total{route=\"";
+  name += route;
+  name += "\",status=\"";
+  name += std::to_string(status);
+  name += "\"}";
+  return name;
 }
 
-void count_bytes(bool in, std::uint64_t n) {
-  if (!obs::metrics_enabled() || n == 0) return;
-  static obs::Counter& read = obs::Registry::global().counter(
-      "rvhpc_net_bytes_read_total", "payload bytes received over TCP");
-  static obs::Counter& written = obs::Registry::global().counter(
-      "rvhpc_net_bytes_written_total", "response bytes written over TCP");
-  (in ? read : written).add(n);
-}
-
-void count_disconnect(Disconnect cause) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& eof = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_eof_total", "connections closed by the client");
-  static obs::Counter& idle = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_idle_total",
-      "connections dropped by the idle timeout");
-  static obs::Counter& oversize = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_oversize_total",
-      "connections dropped for an oversized request line");
-  static obs::Counter& slow = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_slow_reader_total",
-      "connections dropped for not draining their responses");
-  static obs::Counter& refused = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_refused_total",
-      "connections refused past the connection cap");
-  static obs::Counter& error = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_error_total",
-      "connections dropped on a socket error");
-  static obs::Counter& drained = obs::Registry::global().counter(
-      "rvhpc_net_disconnects_drained_total",
-      "connections open when the server drained");
-  // Newer causes use the labeled-series convention (one metric, a
-  // reason label) rather than minting another _disconnects_<cause>_
-  // name; the legacy names above predate it and stay for dashboards.
-  static obs::Counter& header_timeout = obs::Registry::global().counter(
-      "rvhpc_net_disconnect_total{reason=\"header_timeout\"}",
-      "connections dropped for dribbling a request past the header "
-      "deadline");
-  switch (cause) {
-    case Disconnect::Eof:        eof.add(); break;
-    case Disconnect::Idle:       idle.add(); break;
-    case Disconnect::Oversize:   oversize.add(); break;
-    case Disconnect::SlowReader: slow.add(); break;
-    case Disconnect::Refused:    refused.add(); break;
-    case Disconnect::Error:      error.add(); break;
-    case Disconnect::Drained:    drained.add(); break;
-    case Disconnect::HeaderTimeout: header_timeout.add(); break;
-  }
-}
-
-/// Per-route, per-status HTTP request counter.  The obs registry is a
-/// flat name→instrument map, so Prometheus labels are embedded in the
-/// name; the registry dedupes repeat lookups.
-void count_http(const char* route, int status) {
-  if (!obs::metrics_enabled()) return;
-  // The overwhelmingly common series is a successful predict; caching its
-  // instrument keeps the per-request cost at one compare instead of a
-  // name build plus a locked registry lookup (the http_throughput gate
-  // measures this path against the raw wire).
-  static obs::Counter& predict_ok = obs::Registry::global().counter(
-      "rvhpc_http_requests_total{route=\"/v1/predict\",status=\"200\"}",
-      "HTTP exchanges completed, by route and status");
-  if (status == 200 && std::strcmp(route, "/v1/predict") == 0) {
-    predict_ok.add();
-  } else {
-    std::string name = "rvhpc_http_requests_total{route=\"";
-    name += route;
-    name += "\",status=\"";
-    name += std::to_string(status);
-    name += "\"}";
-    obs::Registry::global()
-        .counter(name, "HTTP exchanges completed, by route and status")
-        .add();
-  }
-  static obs::Histogram& statuses = obs::Registry::global().histogram(
-      "rvhpc_http_response_status", "HTTP status codes answered",
-      {99.5, 199.5, 299.5, 399.5, 499.5, 599.5});
-  statuses.observe(static_cast<double>(status));
-}
-
-void observe_http_duration(double start_us) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Histogram& duration = obs::Registry::global().histogram(
-      "rvhpc_http_request_duration_seconds",
-      "wall time from a parsed HTTP request to its response head");
-  duration.observe((now_us() - start_us) / 1e6);
-}
+constexpr const char* kHttpRequestsHelp =
+    "HTTP exchanges completed, by route and status";
 
 /// Extracts the first complete line (without the '\n', trailing '\r'
 /// stripped) from `buf`; false when no newline is buffered yet.
@@ -289,29 +198,6 @@ void Listener::close() {
 }
 
 namespace detail {
-
-// --- counters ----------------------------------------------------------------
-
-constexpr std::size_t kDisconnectCauses =
-    static_cast<std::size_t>(Disconnect::HeaderTimeout) + 1;
-
-/// One shard's share of ServerStats as relaxed atomics, on its own cache
-/// line: a request is counted without a lock and without touching another
-/// shard's line, and Server::stats() sums the shards.  `connections` is
-/// written by the acceptor, everything else by the owning shard's thread.
-struct alignas(64) ShardCounters {
-  std::atomic<std::uint64_t> connections{0};
-  std::atomic<std::uint64_t> answered{0};
-  std::atomic<std::uint64_t> dispatched{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> http_requests{0};
-  std::array<std::atomic<std::uint64_t>, kDisconnectCauses> disconnects{};
-};
-
-void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
-  c.fetch_add(n, std::memory_order_relaxed);
-}
 
 // --- per-connection state (owned exclusively by one shard) ----------------
 
@@ -580,6 +466,7 @@ class Shard {
   void fail_http(Connection& c, http::Error err);
   void flush_http(Connection& c);
   bool append_out(Connection& c, std::string_view data);
+  bool make_room(Connection& c, std::size_t n);
   void finish_exchange(Connection& c, const HttpExchange& ex);
   void process_lines();
   Pending evaluate_line(const std::shared_ptr<Connection>& cp,
@@ -588,8 +475,10 @@ class Shard {
                 serve::Service::Admission adm);
   void deliver(Connection& c, Pending& p);
   void note_answered();
+  void count_http(const char* route, int status);
   void flush_deliverable(Connection& c);
   void drain_completions();
+  void write_some(Connection& c);
   void flush_writes();
   void reap_and_time_out();
   void begin_close(Connection& c, Disconnect cause,
@@ -598,8 +487,7 @@ class Shard {
   void publish_gauges() const;
 
   Server& server_;
-  const std::size_t index_;
-  ShardCounters& counters_;  ///< this shard's slot of Server::counters_
+  const Server::ShardSeries series_;  ///< this shard's labeled children
   int wake_fds_[2] = {-1, -1};  ///< [0] read end (polled), [1] write end
   std::thread thread_;
   std::atomic<bool> stop_{false};
@@ -613,30 +501,15 @@ class Shard {
   std::vector<std::shared_ptr<Connection>> conns_;
   std::size_t rr_ = 0;       ///< round-robin fairness cursor
   std::string http_scratch_;  ///< response head/chunk build buffer
-
-  obs::Counter* conns_counter_ = nullptr;
-  obs::Counter* reqs_counter_ = nullptr;
-  obs::Gauge* depth_gauge_ = nullptr;
 };
 
 Shard::Shard(Server& server, std::size_t index)
-    : server_(server), index_(index), counters_(server.counters_[index]) {
+    : server_(server), series_(server.shard_series_[index]) {
   if (::pipe(wake_fds_) == 0) {
     set_nonblocking(wake_fds_[0]);
     set_nonblocking(wake_fds_[1]);
   } else {
     wake_fds_[0] = wake_fds_[1] = -1;  // degraded: poll-timeout latency only
-  }
-  if (obs::metrics_enabled()) {
-    auto& reg = obs::Registry::global();
-    const std::string prefix = "rvhpc_net_shard_" + std::to_string(index);
-    conns_counter_ = &reg.counter(prefix + "_connections_total",
-                                  "connections adopted by this shard");
-    reqs_counter_ = &reg.counter(prefix + "_requests_total",
-                                 "response lines delivered by this shard");
-    depth_gauge_ =
-        &reg.gauge(prefix + "_queue_depth_bytes",
-                   "request bytes buffered on this shard, not yet admitted");
   }
 }
 
@@ -724,7 +597,6 @@ void Shard::adopt_incoming() {
       limits.max_body = server_.opts_.max_body_bytes;
       c->parser = std::make_unique<http::RequestParser>(limits);
     }
-    if (conns_counter_) conns_counter_->add();
     if (inc.refused) {
       // Polite refusal: a structured answer beats a dangling connect.
       const std::string reason =
@@ -766,8 +638,7 @@ void Shard::close_now(Connection& c, Disconnect cause) {
   if (c.rfd < 0) return;
   release_fds(c);
   server_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
-  count_disconnect(cause);
-  bump(counters_.disconnects[static_cast<std::size_t>(cause)]);
+  server_.disconnects_[static_cast<std::size_t>(cause)]->add();
 }
 
 void Shard::read_ready(Connection& c) {
@@ -778,8 +649,7 @@ void Shard::read_ready(Connection& c) {
     if (n > 0) {
       c.rbuf.append(chunk, static_cast<std::size_t>(n));
       c.last_read_us = now_us();
-      count_bytes(true, static_cast<std::uint64_t>(n));
-      bump(counters_.bytes_in, static_cast<std::uint64_t>(n));
+      server_.bytes_in_.add(static_cast<std::uint64_t>(n));
       // A short read emptied the kernel buffer: poll() is level-triggered
       // and reports whatever arrives next, so a read that would only
       // answer EAGAIN is not worth a syscall.
@@ -918,7 +788,7 @@ void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
   const std::uint64_t seq = p.seq;
 
   server_.inflight_.fetch_add(1, std::memory_order_relaxed);
-  bump(counters_.dispatched);
+  server_.dispatched_.add();
   std::weak_ptr<Connection> wk = cp;
   server_.compute_->submit([this, task, wk = std::move(wk), seq] {
     (*task)();
@@ -932,11 +802,24 @@ void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
 /// Appends to the write buffer under the slow-reader bound; false (and
 /// the connection is gone) when the client is not draining responses.
 bool Shard::append_out(Connection& c, std::string_view data) {
-  if (c.wbuf.size() + data.size() > server_.opts_.max_write_buffer) {
+  if (!make_room(c, data.size())) return false;
+  c.wbuf.append(data);
+  return true;
+}
+
+/// Whether `n` more bytes fit `c`'s write buffer; a socket past the bound
+/// is closed as a slow reader.  One loop pass can answer a whole read of
+/// pipelined cached hits (or an HTTP batch), so past half the bound the
+/// buffer is first handed to the kernel: a client that is reading never
+/// looks like a slow one, and one that is not still trips the bound.
+bool Shard::make_room(Connection& c, std::size_t n) {
+  const std::size_t bound = server_.opts_.max_write_buffer;
+  if (c.wbuf.size() + n > bound / 2) write_some(c);
+  if (c.rfd < 0) return false;  // the write failed: closed
+  if (!c.borrowed && c.wbuf.size() + n > bound) {
     close_now(c, Disconnect::SlowReader);
     return false;
   }
-  c.wbuf.append(data);
   return true;
 }
 
@@ -1062,7 +945,6 @@ void Shard::fail_http(Connection& c, http::Error err) {
                     "application/json", body.size());
   farewell += body;
   count_http("other", status);
-  bump(counters_.http_requests);
   begin_close(c,
               (status == 413 || status == 431) ? Disconnect::Oversize
                                                : Disconnect::Error,
@@ -1072,8 +954,9 @@ void Shard::fail_http(Connection& c, http::Error err) {
 void Shard::finish_exchange(Connection& c, const HttpExchange& ex) {
   (void)c;
   count_http(ex.route, ex.status);
-  observe_http_duration(ex.start_us);
-  bump(counters_.http_requests);
+  if (obs::metrics_enabled()) {
+    server_.http_duration_.observe((now_us() - ex.start_us) / 1e6);
+  }
 }
 
 /// Writes whatever the front exchange can deliver.  Exchanges answer in
@@ -1102,7 +985,7 @@ void Shard::flush_http(Connection& c) {
     }
 
     if (!ex.head_sent) {
-      if (ex.metrics) ex.body = obs::Registry::global().render_text();
+      if (ex.metrics) ex.body = server_.render_metrics();
       if (ex.healthz) {
         const bool draining = stop_.load(std::memory_order_relaxed) ||
                               server_.stop_.load(std::memory_order_relaxed) ||
@@ -1206,22 +1089,31 @@ void Shard::process_lines() {
 
 /// Books one delivered response line — shared by the raw wire and every
 /// chunk/body an HTTP exchange streams.
-void Shard::note_answered() {
-  count(Count::Answered);
-  if (reqs_counter_) reqs_counter_->add();
-  bump(counters_.answered);
+void Shard::note_answered() { series_.answered->add(); }
+
+/// Counts one completed HTTP exchange under its route and status.
+void Shard::count_http(const char* route, int status) {
+  // The overwhelmingly common series is a successful predict: its counter
+  // is bound once, so it costs a compare instead of a name build plus a
+  // locked registry lookup (the http_throughput gate measures this path
+  // against the raw wire).
+  if (status == 200 && std::strcmp(route, "/v1/predict") == 0) {
+    server_.http_predict_ok_.add();
+  } else {
+    server_.registry_.counter(http_series(route, status), kHttpRequestsHelp)
+        .add();
+  }
+  if (obs::metrics_enabled()) {
+    server_.http_statuses_.observe(static_cast<double>(status));
+  }
 }
 
 void Shard::deliver(Connection& c, Pending& p) {
   p.delivered = true;
   if (c.rfd < 0 || c.closing) return;  // response owed to no one now
-  if (!c.borrowed &&
-      c.wbuf.size() + p.response.size() + 1 > server_.opts_.max_write_buffer) {
-    // The client is not draining responses; holding more would be
-    // unbounded memory, and it cannot read an apology either.
-    close_now(c, Disconnect::SlowReader);
-    return;
-  }
+  // A socket client not draining responses is dropped: holding more would
+  // be unbounded memory, and it cannot read an apology either.
+  if (!make_room(c, p.response.size() + 1)) return;
   c.wbuf += p.response;
   c.wbuf += '\n';
   note_answered();
@@ -1279,25 +1171,27 @@ void Shard::drain_completions() {
   }
 }
 
-void Shard::flush_writes() {
-  for (auto& cp : conns_) {
-    Connection& c = *cp;
-    while (c.rfd >= 0 && !c.wbuf.empty()) {
-      const ssize_t n = ::write(c.wfd, c.wbuf.data(), c.wbuf.size());
-      if (n > 0) {
-        c.wbuf.erase(0, static_cast<std::size_t>(n));
-        count_bytes(false, static_cast<std::uint64_t>(n));
-        bump(counters_.bytes_out, static_cast<std::uint64_t>(n));
-      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        break;
-      } else if (n < 0 && errno == EINTR) {
-        continue;
-      } else {
-        close_now(c, c.closing ? c.cause : Disconnect::Error);
-        break;
-      }
+/// Hands as much of `c`'s write buffer to the kernel as it takes now
+/// (non-blocking); a write error closes the connection.
+void Shard::write_some(Connection& c) {
+  while (c.rfd >= 0 && !c.wbuf.empty()) {
+    const ssize_t n = ::write(c.wfd, c.wbuf.data(), c.wbuf.size());
+    if (n > 0) {
+      c.wbuf.erase(0, static_cast<std::size_t>(n));
+      server_.bytes_out_.add(static_cast<std::uint64_t>(n));
+    } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return;
+    } else if (n < 0 && errno == EINTR) {
+      continue;
+    } else {
+      close_now(c, c.closing ? c.cause : Disconnect::Error);
+      return;
     }
   }
+}
+
+void Shard::flush_writes() {
+  for (auto& cp : conns_) write_some(*cp);
 }
 
 void Shard::reap_and_time_out() {
@@ -1347,7 +1241,6 @@ void Shard::reap_and_time_out() {
                             "application/json", body.size());
           farewell += body;
           count_http("other", 408);
-          bump(counters_.http_requests);
           begin_close(c, Disconnect::HeaderTimeout, farewell);
         } else {
           begin_close(c, Disconnect::HeaderTimeout, body);
@@ -1378,12 +1271,11 @@ void Shard::reap_and_time_out() {
 }
 
 void Shard::publish_gauges() const {
-  if (!depth_gauge_) return;
   double pending_bytes = 0.0;
   for (const auto& c : conns_) {
     pending_bytes += static_cast<double>(c->rbuf.size());
   }
-  depth_gauge_->set(pending_bytes);
+  series_.queue_depth->set(pending_bytes);
 }
 
 void Shard::loop() {
@@ -1518,7 +1410,7 @@ void Shard::drain() {
     if (c->rfd >= 0) close_now(*c, Disconnect::Drained);
   }
   conns_.clear();
-  if (depth_gauge_) depth_gauge_->set(0.0);
+  series_.queue_depth->set(0.0);
 }
 
 }  // namespace detail
@@ -1526,7 +1418,27 @@ void Shard::drain() {
 // --- Server: the acceptor -------------------------------------------------
 
 Server::Server(serve::Service& service, ServerOptions opts)
-    : service_(service), opts_(opts) {
+    : service_(service),
+      opts_(opts),
+      dispatched_(registry_.counter("rvhpc_net_dispatched_total",
+                                    "compute phases queued for the pool")),
+      bytes_in_(registry_.counter("rvhpc_net_bytes_read_total",
+                                  "payload bytes received over TCP")),
+      bytes_out_(registry_.counter("rvhpc_net_bytes_written_total",
+                                   "response bytes written over TCP")),
+      http_predict_ok_(registry_.counter(http_series("/v1/predict", 200),
+                                         kHttpRequestsHelp)),
+      http_statuses_(registry_.histogram(
+          "rvhpc_http_response_status", "HTTP status codes answered",
+          {99.5, 199.5, 299.5, 399.5, 499.5, 599.5})),
+      http_duration_(registry_.histogram(
+          "rvhpc_http_request_duration_seconds",
+          "wall time from a parsed HTTP request to its response head")),
+      open_conns_gauge_(registry_.gauge("rvhpc_net_open_connections",
+                                        "currently connected TCP clients")),
+      inflight_gauge_(registry_.gauge(
+          "rvhpc_net_inflight_requests",
+          "compute phases dispatched and not yet completed")) {
   // Shards use plain write() on sockets and pipes alike: a peer that went
   // away must surface as EPIPE (a disconnect), not kill the process.
   (void)std::signal(SIGPIPE, SIG_IGN);
@@ -1536,7 +1448,27 @@ Server::Server(serve::Service& service, ServerOptions opts)
   if (opts_.poll_interval_ms <= 0) opts_.poll_interval_ms = 50;
   if (opts_.max_body_bytes == 0) opts_.max_body_bytes = 1;
   if (!opts_.json_listener && !opts_.http) opts_.json_listener = true;
-  counters_ = std::make_unique<detail::ShardCounters[]>(opts_.shards);
+  for (std::size_t k = 0; k < kDisconnectCauses; ++k) {
+    // The Disconnect names as Prometheus label values: slow-reader ->
+    // slow_reader.
+    std::string reason = to_string(static_cast<Disconnect>(k));
+    std::replace(reason.begin(), reason.end(), '-', '_');
+    disconnects_[k] = &registry_.counter(
+        "rvhpc_net_disconnect_total{reason=\"" + reason + "\"}",
+        "connections closed, by cause");
+  }
+  shard_series_.reserve(opts_.shards);
+  for (std::size_t i = 0; i < opts_.shards; ++i) {
+    const std::string label = "{shard=\"" + std::to_string(i) + "\"}";
+    shard_series_.push_back(
+        {&registry_.counter("rvhpc_net_connections_total" + label,
+                            "connections accepted, by shard"),
+         &registry_.counter("rvhpc_net_requests_total" + label,
+                            "response lines delivered, by shard"),
+         &registry_.gauge("rvhpc_net_queue_depth_bytes" + label,
+                          "request bytes buffered on a shard, not yet "
+                          "admitted")});
+  }
 }
 
 Server::~Server() = default;
@@ -1555,28 +1487,20 @@ void Server::open(std::ostream& log) {
 }
 
 ServerStats Server::stats() const {
-  const auto get = [](const std::atomic<std::uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
   ServerStats s;
   s.inflight = inflight_.load(std::memory_order_relaxed);
-  std::array<std::uint64_t, detail::kDisconnectCauses> disconnects{};
-  for (std::size_t i = 0; i < opts_.shards; ++i) {
-    const detail::ShardCounters& c = counters_[i];
-    s.shard_connections.push_back(get(c.connections));
-    s.shard_answered.push_back(get(c.answered));
+  for (const ShardSeries& shard : shard_series_) {
+    s.shard_connections.push_back(shard.connections->value());
+    s.shard_answered.push_back(shard.answered->value());
     s.accepted += s.shard_connections.back();
     s.answered += s.shard_answered.back();
-    s.dispatched += get(c.dispatched);
-    s.bytes_in += get(c.bytes_in);
-    s.bytes_out += get(c.bytes_out);
-    s.http_requests += get(c.http_requests);
-    for (std::size_t k = 0; k < disconnects.size(); ++k) {
-      disconnects[k] += get(c.disconnects[k]);
-    }
   }
+  s.dispatched = dispatched_.value();
+  s.bytes_in = bytes_in_.value();
+  s.bytes_out = bytes_out_.value();
+  s.http_requests = registry_.sum("rvhpc_http_requests_total");
   const auto cause = [&](Disconnect d) {
-    return disconnects[static_cast<std::size_t>(d)];
+    return disconnects_[static_cast<std::size_t>(d)]->value();
   };
   s.disconnect_eof = cause(Disconnect::Eof);
   s.disconnect_idle = cause(Disconnect::Idle);
@@ -1589,16 +1513,14 @@ ServerStats Server::stats() const {
   return s;
 }
 
-void Server::publish_gauges() const {
-  if (!obs::metrics_enabled()) return;
-  static obs::Gauge& open_conns = obs::Registry::global().gauge(
-      "rvhpc_net_open_connections", "currently connected TCP clients");
-  static obs::Gauge& inflight = obs::Registry::global().gauge(
-      "rvhpc_net_inflight_requests",
-      "compute phases dispatched and not yet completed");
-  open_conns.set(
+std::string Server::render_metrics() const {
+  // The acceptor-owned gauges are read at the scrape, never stale.
+  open_conns_gauge_.set(
       static_cast<double>(open_conns_.load(std::memory_order_relaxed)));
-  inflight.set(static_cast<double>(inflight_.load(std::memory_order_relaxed)));
+  inflight_gauge_.set(
+      static_cast<double>(inflight_.load(std::memory_order_relaxed)));
+  return obs::Registry::global().render_text() +
+         service_.registry().render_text() + registry_.render_text();
 }
 
 void Server::accept_pending() {
@@ -1610,7 +1532,6 @@ void Server::accept_from(const Listener& listener, bool http) {
   while (true) {
     const int fd = listener.accept_client();
     if (fd < 0) return;
-    count(Count::Connection);
     if (opts_.so_sndbuf > 0) {
       (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &opts_.so_sndbuf,
                          sizeof(opts_.so_sndbuf));
@@ -1622,7 +1543,7 @@ void Server::accept_from(const Listener& listener, bool http) {
     open_conns_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t shard = next_shard_;
     next_shard_ = (next_shard_ + 1) % shards_.size();
-    detail::bump(counters_[shard].connections);
+    shard_series_[shard].connections->add();
     shards_[shard]->adopt({fd, fd, /*borrowed=*/false, refused, http});
   }
 }
@@ -1658,9 +1579,8 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
   if (stdio) {
     // Counted open before the shard adopts it, so the loop below cannot
     // see zero connections and return before the session started.
-    count(Count::Connection);
     open_conns_.fetch_add(1, std::memory_order_relaxed);
-    detail::bump(counters_[0].connections);
+    shard_series_[0].connections->add();
     shards_[0]->adopt({stdio_in, stdio_out, /*borrowed=*/true,
                        /*refused=*/false, /*http=*/false});
   }
@@ -1675,7 +1595,6 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
     }
     (void)::poll(lps, nfds, opts_.poll_interval_ms);
     accept_pending();
-    publish_gauges();
   }
 
   // Drain: stop accepting, then let every shard answer what it owes
@@ -1692,7 +1611,6 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
   compute_.reset();
   flusher_.reset();
   shards_.clear();
-  publish_gauges();
 
   const ServerStats s = stats();
   log << "net: drained — " << s.accepted << " connection(s), " << s.answered

@@ -12,10 +12,10 @@
 //     Content-Length body and streams the responses back (single → a
 //     status-mapped fixed-length reply, batch → chunked, each response a
 //     chunk as its compute completes, matched by id exactly like the raw
-//     wire), GET /metrics renders the obs registry inline on the shard,
-//     and GET /healthz answers drain-aware 200/503.  The framing layer is
-//     src/http — a pure incremental parser driven by the same poll()
-//     reads;
+//     wire), GET /metrics renders the obs registries (the process's, the
+//     service's, this server's) inline on the shard, and GET /healthz
+//     answers drain-aware 200/503.  The framing layer is src/http — a
+//     pure incremental parser driven by the same poll() reads;
 //   * one stdin/stdout pair (run_stdio()) — the raw wire again, with a
 //     read fd and a write fd instead of one socket.
 //
@@ -73,6 +73,7 @@
 // ignores SIGPIPE: a reader that goes away is a disconnect, never a
 // killed process.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -81,14 +82,16 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace rvhpc::serve {
 class Service;
 }
 
 namespace rvhpc::net {
 
-/// Why a connection was closed — stats and rvhpc_net_disconnects_*_total
-/// metrics attribute every close to exactly one cause.
+/// Why a connection was closed — every close is counted once, under
+/// exactly one cause, as rvhpc_net_disconnect_total{reason="<cause>"}.
 enum class Disconnect {
   Eof,         ///< client closed; its buffered requests were answered first
   Idle,        ///< nothing received for idle_timeout_ms ("timeout" answered)
@@ -102,6 +105,9 @@ enum class Disconnect {
 };
 
 [[nodiscard]] const char* to_string(Disconnect cause);
+
+inline constexpr std::size_t kDisconnectCauses =
+    static_cast<std::size_t>(Disconnect::HeaderTimeout) + 1;
 
 struct ServerOptions {
   /// Port to bind on 127.0.0.1; 0 picks an ephemeral port (the bound one
@@ -165,9 +171,10 @@ struct ServerOptions {
   double drain_grace_ms = 2000.0;
 };
 
-/// Aggregate counters of one Server's lifetime (mirrors the rvhpc_net_*
-/// obs metrics, which aggregate across instances; tests want these).  A
-/// snapshot: Server::stats() reads each counter without a lock.
+/// Aggregate counters of one Server's lifetime: a snapshot of this
+/// instance's registry (Server::registry(), the rvhpc_net_* and
+/// rvhpc_http_* series), read without a lock.  Fields backed by a labeled
+/// family are the sum of its children.
 struct ServerStats {
   std::uint64_t accepted = 0;    ///< connections accepted (incl. refused)
   std::uint64_t answered = 0;    ///< response lines delivered to write buffers
@@ -219,7 +226,6 @@ namespace detail {
 class Shard;
 class CacheFlusher;
 class ComputeQueue;
-struct ShardCounters;
 }  // namespace detail
 
 class Server {
@@ -263,6 +269,14 @@ class Server {
   void stop() { stop_.store(true, std::memory_order_relaxed); }
 
   [[nodiscard]] ServerStats stats() const;
+  /// This instance's rvhpc_net_* and rvhpc_http_* series: every
+  /// ServerStats fact is counted once, here, next to the gauges and the
+  /// HTTP histograms (when metrics are on).
+  [[nodiscard]] obs::Registry& registry() { return registry_; }
+  /// The GET /metrics body: the process-wide registry, then the service's,
+  /// then this server's, in Prometheus text (the open-connection and
+  /// in-flight gauges are read at the call).
+  [[nodiscard]] std::string render_metrics() const;
 
  private:
   friend class detail::Shard;
@@ -271,7 +285,6 @@ class Server {
   void serve(std::ostream& log, int stdio_in, int stdio_out);
   void accept_pending();
   void accept_from(const Listener& listener, bool http);
-  void publish_gauges() const;
 
   serve::Service& service_;
   ServerOptions opts_;
@@ -284,9 +297,26 @@ class Server {
   std::atomic<bool> stop_{false};
   std::atomic<std::size_t> open_conns_{0};  ///< across shards (cap check)
   std::atomic<std::size_t> inflight_{0};    ///< dispatched, not completed
-  /// ServerStats, one lock-free slot per shard (sized opts_.shards;
-  /// outlives the shards, so stats() works after the drain too).
-  std::unique_ptr<detail::ShardCounters[]> counters_;
+
+  // registry_'s instruments, bound once in the constructor (they outlive
+  // the shards, so stats() works after the drain too).
+  obs::Registry registry_;
+  obs::Counter& dispatched_;
+  obs::Counter& bytes_in_;
+  obs::Counter& bytes_out_;
+  obs::Counter& http_predict_ok_;  ///< the common HTTP series, pre-bound
+  obs::Histogram& http_statuses_;
+  obs::Histogram& http_duration_;
+  obs::Gauge& open_conns_gauge_;
+  obs::Gauge& inflight_gauge_;
+  std::array<obs::Counter*, kDisconnectCauses> disconnects_{};
+  /// One shard's labeled children ({shard="<i>"}), sized opts_.shards.
+  struct ShardSeries {
+    obs::Counter* connections;
+    obs::Counter* answered;
+    obs::Gauge* queue_depth;
+  };
+  std::vector<ShardSeries> shard_series_;
 };
 
 }  // namespace rvhpc::net

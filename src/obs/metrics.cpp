@@ -150,6 +150,20 @@ Histogram& Registry::histogram(const std::string& name, const std::string& help,
   return *e.histogram;
 }
 
+std::uint64_t Registry::sum(const std::string& family) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::uint64_t total = 0;
+  // Every name the family prefixes sorts in one run from lower_bound();
+  // of those, only the family itself and its `{...}` children count.
+  for (auto it = entries_.lower_bound(family); it != entries_.end(); ++it) {
+    const std::string& name = it->first;
+    if (name.compare(0, family.size(), family) != 0) break;
+    if (name.size() > family.size() && name[family.size()] != '{') continue;
+    if (it->second.counter) total += it->second.counter->value();
+  }
+  return total;
+}
+
 std::string Registry::render_text() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ostringstream os;

@@ -5,11 +5,15 @@
 // instruments predict() calls, sweep points and memsim accesses.  Like
 // tracing, collection is off by default: sites check one relaxed atomic
 // bool (metrics_enabled()) and skip everything when it is false, so an
-// uninstrumented-feeling fast path survives in production sweeps.
+// uninstrumented-feeling fast path survives in production sweeps.  A
+// serving instance (serve::Service, net::Server) owns a Registry of its
+// own instead: its counters always count, because its stats() reads them.
 //
-// Instrument references are stable for the process lifetime — reset()
+// Instrument references are stable for the registry's lifetime — reset()
 // zeroes values but never invalidates a Counter&/Histogram& obtained from
-// the registry, so call sites may cache them in function-local statics.
+// it, so call sites on the global registry may cache them in
+// function-local statics, and an object owning a Registry binds its
+// instruments once in its constructor.
 
 #include <atomic>
 #include <cstdint>
@@ -123,7 +127,9 @@ class Histogram {
 [[nodiscard]] std::vector<double> default_time_bounds();
 
 /// Named-instrument registry.  Lookup creates on first use; instruments
-/// live for the process lifetime.
+/// live as long as the registry: the process-wide one for the process,
+/// a serving instance's own one for that instance.  A Prometheus label set
+/// is part of the name (`family{label="value"}`).
 class Registry {
  public:
   Counter& counter(const std::string& name, const std::string& help = "");
@@ -132,6 +138,9 @@ class Registry {
   /// empty); later lookups return the existing histogram.
   Histogram& histogram(const std::string& name, const std::string& help = "",
                        std::vector<double> bounds = {});
+
+  /// Counter `family` plus every labeled child `family{...}`, summed.
+  [[nodiscard]] std::uint64_t sum(const std::string& family) const;
 
   /// Prometheus-flavoured plain text dump, sorted by name.
   [[nodiscard]] std::string render_text() const;

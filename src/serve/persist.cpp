@@ -7,8 +7,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace rvhpc::serve {
 namespace {
 
@@ -23,22 +21,6 @@ std::uint64_t fnv1a(const std::string& bytes) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-void count_restored(std::size_t n) {
-  if (!obs::metrics_enabled() || n == 0) return;
-  static obs::Counter& restored = obs::Registry::global().counter(
-      "rvhpc_serve_cache_restored_total",
-      "prediction cache entries restored from a persistent cache file");
-  restored.add(n);
-}
-
-void count_trimmed(std::size_t n) {
-  if (!obs::metrics_enabled() || n == 0) return;
-  static obs::Counter& trimmed = obs::Registry::global().counter(
-      "rvhpc_serve_cache_trimmed_total",
-      "oldest-LRU cache entries dropped by the save cap (--cache-max-entries)");
-  trimmed.add(n);
 }
 
 // --- little-endian scalar writers into a std::string buffer ---------------
@@ -252,7 +234,6 @@ LoadResult load_cache(const std::string& path,
   result.status = LoadResult::Status::Loaded;
   result.restored = entries.size();
   result.trimmed = static_cast<std::size_t>(trimmed);
-  count_restored(entries.size());
   return result;
 }
 
@@ -268,7 +249,6 @@ SaveResult save_cache(const std::string& path,
   if (max_entries > 0 && mru_first.size() > max_entries) {
     saved.trimmed = mru_first.size() - max_entries;
     mru_first.resize(max_entries);
-    count_trimmed(saved.trimmed);
   }
   saved.written = mru_first.size();
 

@@ -70,9 +70,9 @@ struct SaveResult {
 };
 
 /// Restores `path` into `cache` (entries are replayed oldest-first through
-/// put(), so the resident LRU order matches the saved one).  Publishes the
-/// restored count through obs::metrics as rvhpc_serve_cache_restored_total
-/// when metrics are enabled.  Never throws; see LoadResult.
+/// put(), so the resident LRU order matches the saved one).  Counts
+/// nothing itself: a Service counts the returned `restored` into its
+/// rvhpc_serve_cache_restored_total.  Never throws; see LoadResult.
 LoadResult load_cache(const std::string& path, engine::PredictionCache& cache);
 
 /// Serialises the resident entries of `cache` to `path`, writing to
@@ -80,9 +80,9 @@ LoadResult load_cache(const std::string& path, engine::PredictionCache& cache);
 /// leave a half-written cache where the next start would read it.  A
 /// non-zero `max_entries` caps the snapshot: the least-recently-used
 /// overflow is trimmed before writing (the resident cache is untouched),
-/// keeping long-lived service cache files bounded; trimmed entries count
-/// into rvhpc_serve_cache_trimmed_total.  Throws std::runtime_error when
-/// the destination is unwritable.
+/// keeping long-lived service cache files bounded; a Service counts the
+/// returned `trimmed` into its rvhpc_serve_cache_trimmed_total.  Throws
+/// std::runtime_error when the destination is unwritable.
 SaveResult save_cache(const std::string& path,
                       const engine::PredictionCache& cache,
                       std::size_t max_entries = 0);

@@ -108,8 +108,9 @@ const cli::ToolInfo kTool{
     "                        fields so live output is byte-comparable with\n"
     "                        a --replay of the same requests\n"
     + cli::jobs_flag_help() + "\n"
-    "  --metrics[=FILE]      dump the Prometheus metrics registry on exit\n"
-    "                        (stderr, or FILE)\n"
+    "  --metrics[=FILE]      dump the Prometheus metrics on exit: the\n"
+    "                        process registry, then the service's and the\n"
+    "                        server's (stderr, or FILE)\n"
     "  --gate                self-check: replay determinism across pool\n"
     "                        sizes and cold/warm cache runs, then exit"};
 
@@ -425,6 +426,7 @@ int main(int argc, char** argv) {
   std::ostream& out = opt.out_path.empty() ? std::cout : out_file;
 
   int status = 0;
+  std::string metrics;  ///< the --metrics dump, rendered before teardown
   {
     serve::Service svc(opt.svc);
     svc.start(std::cerr);
@@ -435,6 +437,8 @@ int main(int argc, char** argv) {
         std::cerr << "rvhpc-serve: " << e.what() << "\n";
         status = 2;
       }
+      metrics = obs::Registry::global().render_text() +
+                svc.registry().render_text();
     } else {
       serve::install_shutdown_handlers();
       net::Server server(svc, opt.net);
@@ -448,17 +452,17 @@ int main(int argc, char** argv) {
       } else {
         server.run_stdio(STDIN_FILENO, out_fd, std::cerr);
       }
+      metrics = server.render_metrics();
     }
   }
   if (out_fd != STDOUT_FILENO) ::close(out_fd);
 
   if (opt.metrics && status == 0) {
-    const std::string text = obs::Registry::global().render_text();
     if (opt.metrics_path.empty()) {
-      std::cerr << text;
+      std::cerr << metrics;
     } else {
       std::ofstream m(opt.metrics_path);
-      m << text;
+      m << metrics;
       if (!m.good()) {
         std::cerr << "rvhpc-serve: cannot write --metrics file '"
                   << opt.metrics_path << "'\n";

@@ -39,33 +39,9 @@ void on_signal(int) { g_shutdown.store(1, std::memory_order_relaxed); }
 
 // --- serve-level metrics --------------------------------------------------
 
-enum class Count { Request, Rejected, Timeout };
-
-void count(Count which, std::uint64_t n = 1) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& requests = obs::Registry::global().counter(
-      "rvhpc_serve_requests_total", "request lines received by the service");
-  static obs::Counter& rejected = obs::Registry::global().counter(
-      "rvhpc_serve_rejected_total",
-      "requests rejected at admission (parse, lint, overloaded)");
-  static obs::Counter& timeouts = obs::Registry::global().counter(
-      "rvhpc_serve_timeouts_total",
-      "requests whose deadline expired before evaluation");
-  switch (which) {
-    case Count::Request:  requests.add(n); break;
-    case Count::Rejected: rejected.add(n); break;
-    case Count::Timeout:  timeouts.add(n); break;
-  }
-}
-
-/// End-to-end latency histogram, looked up once rather than by name on
-/// every served request.
-obs::Histogram* latency_histogram() {
-  if (!obs::metrics_enabled()) return nullptr;
-  static obs::Histogram& latency = obs::Registry::global().histogram(
-      "rvhpc_serve_request_latency_seconds");
-  return &latency;
-}
+constexpr const char* kOkHelp = "requests answered status ok, by memo outcome";
+constexpr const char* kRejectedHelp =
+    "requests rejected at admission, by reason (parse, lint, overloaded)";
 
 // --- request parsing ------------------------------------------------------
 
@@ -313,7 +289,33 @@ std::string recover_id(const std::string& line) {
 Service::Service(Options opts)
     : opts_(std::move(opts)),
       jobs_(opts_.jobs > 0 ? opts_.jobs : engine::default_jobs()),
-      cache_(opts_.cache_capacity) {}
+      cache_(opts_.cache_capacity),
+      received_(registry_.counter("rvhpc_serve_requests_total",
+                                  "request lines received by the service")),
+      ok_hit_(registry_.counter("rvhpc_serve_ok_total{cache=\"hit\"}",
+                                kOkHelp)),
+      ok_miss_(registry_.counter("rvhpc_serve_ok_total{cache=\"miss\"}",
+                                 kOkHelp)),
+      dnr_(registry_.counter("rvhpc_serve_dnr_total",
+                             "ok answers whose prediction did not run")),
+      parse_errors_(registry_.counter(
+          "rvhpc_serve_rejected_total{reason=\"parse\"}", kRejectedHelp)),
+      lint_rejected_(registry_.counter(
+          "rvhpc_serve_rejected_total{reason=\"lint\"}", kRejectedHelp)),
+      overloaded_(registry_.counter(
+          "rvhpc_serve_rejected_total{reason=\"overloaded\"}",
+          kRejectedHelp)),
+      timeouts_(registry_.counter(
+          "rvhpc_serve_timeouts_total",
+          "requests whose deadline expired before evaluation")),
+      restored_(registry_.counter(
+          "rvhpc_serve_cache_restored_total",
+          "prediction cache entries restored from a persistent cache file")),
+      trimmed_(registry_.counter(
+          "rvhpc_serve_cache_trimmed_total",
+          "oldest-LRU cache entries dropped by the save cap "
+          "(--cache-max-entries)")),
+      latency_(registry_.histogram("rvhpc_serve_request_latency_seconds")) {}
 
 Service::~Service() {
   if (!opts_.cache_file.empty()) {
@@ -330,7 +332,7 @@ std::size_t Service::start(std::ostream& log) {
   const LoadResult r = load_cache(opts_.cache_file, cache_);
   switch (r.status) {
     case LoadResult::Status::Loaded:
-      counters_.restored.store(r.restored, std::memory_order_relaxed);
+      restored_.add(r.restored);
       log << "serve: restored " << r.restored << " cache entr"
           << (r.restored == 1 ? "y" : "ies") << " from " << opts_.cache_file
           << "\n";
@@ -346,7 +348,7 @@ std::size_t Service::start(std::ostream& log) {
           << " cache file: " << r.detail << "\n";
       break;
   }
-  return counters_.restored.load(std::memory_order_relaxed);
+  return restored_.value();
 }
 
 bool Service::expired(const Parsed& req, double arrival_us) const {
@@ -355,8 +357,7 @@ bool Service::expired(const Parsed& req, double arrival_us) const {
 }
 
 std::string Service::timeout_response(const Parsed& req) {
-  count(Count::Timeout);
-  counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
+  timeouts_.add();
   return error_json(req.id, "timeout",
                     "deadline of " + std::to_string(req.timeout_ms) +
                         " ms expired before evaluation");
@@ -403,9 +404,8 @@ std::string Service::render(const Parsed& req, const model::Prediction& p,
     span.arg("kernel", to_string(req.sig.kernel));
     span.arg("cache", hit ? "hit" : "miss");
   }
-  counters_.ok.fetch_add(1, std::memory_order_relaxed);
-  if (hit) counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  if (!p.ran) counters_.dnr.fetch_add(1, std::memory_order_relaxed);
+  (hit ? ok_hit_ : ok_miss_).add();
+  if (!p.ran) dnr_.add();
 
   std::string out;
   out.reserve(384);  // a typical live response is ~330 bytes
@@ -455,15 +455,14 @@ std::string Service::render(const Parsed& req, const model::Prediction& p,
   out += '}';
   // End-to-end latency, admission to completion (seconds, the repo-wide
   // log-spaced timer layout): the p99 the throughput bench gates on.
-  if (obs::Histogram* h = latency_histogram()) h->observe(latency_us * 1e-6);
+  if (obs::metrics_enabled()) latency_.observe(latency_us * 1e-6);
   return out;
 }
 
 Service::Admission Service::admit(const std::string& line) {
   Admission adm;
   adm.arrival_us = now_us();
-  count(Count::Request);
-  counters_.received.fetch_add(1, std::memory_order_relaxed);
+  received_.add();
   try {
     std::shared_ptr<Parsed> req =
         parse_request(line, opts_.lint_admission, opts_.default_timeout_ms);
@@ -471,14 +470,12 @@ Service::Admission Service::admit(const std::string& line) {
     adm.had_id = !req->id.empty();
     adm.request = std::move(req);
   } catch (const LintReject& e) {
-    count(Count::Rejected);
-    counters_.lint_rejected.fetch_add(1, std::memory_order_relaxed);
+    lint_rejected_.add();
     adm.id = recover_id(line);
     adm.had_id = !adm.id.empty();
     adm.response = error_json(adm.id, "lint", e.what(), e.detail);
   } catch (const std::exception& e) {
-    count(Count::Rejected);
-    counters_.parse_errors.fetch_add(1, std::memory_order_relaxed);
+    parse_errors_.add();
     adm.id = recover_id(line);
     adm.had_id = !adm.id.empty();
     adm.response = error_json(adm.id, "parse", e.what());
@@ -493,10 +490,8 @@ std::string Service::handle_line(const std::string& line) {
 }
 
 std::string Service::reject_overloaded(const std::string& id) {
-  count(Count::Request);
-  count(Count::Rejected);
-  counters_.received.fetch_add(1, std::memory_order_relaxed);
-  counters_.overloaded.fetch_add(1, std::memory_order_relaxed);
+  received_.add();
+  overloaded_.add();
   return error_json(id, "overloaded",
                     "backlog full (" + std::to_string(opts_.queue_capacity) +
                         " requests pending); retry later");
@@ -516,6 +511,7 @@ void Service::flush(std::ostream& log) {
   try {
     const SaveResult saved =
         save_cache(opts_.cache_file, cache_, opts_.cache_max_entries);
+    trimmed_.add(saved.trimmed);
     log << "serve: checkpointed " << saved.written << " cache entr"
         << (saved.written == 1 ? "y" : "ies");
     if (saved.trimmed > 0) {
@@ -583,19 +579,16 @@ std::string Service::replay(const std::string& path, std::ostream& out,
 }
 
 ServiceStats Service::stats() const {
-  const auto get = [](const std::atomic<std::uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
   ServiceStats s;
-  s.received = get(counters_.received);
-  s.ok = get(counters_.ok);
-  s.dnr = get(counters_.dnr);
-  s.parse_errors = get(counters_.parse_errors);
-  s.lint_rejected = get(counters_.lint_rejected);
-  s.timeouts = get(counters_.timeouts);
-  s.overloaded = get(counters_.overloaded);
-  s.cache_hits = get(counters_.cache_hits);
-  s.restored = get(counters_.restored);
+  s.received = received_.value();
+  s.cache_hits = ok_hit_.value();
+  s.ok = s.cache_hits + ok_miss_.value();
+  s.dnr = dnr_.value();
+  s.parse_errors = parse_errors_.value();
+  s.lint_rejected = lint_rejected_.value();
+  s.timeouts = timeouts_.value();
+  s.overloaded = overloaded_.value();
+  s.restored = restored_.value();
   return s;
 }
 

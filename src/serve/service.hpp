@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "engine/cache.hpp"
+#include "obs/metrics.hpp"
 #include "serve/persist.hpp"
 
 namespace rvhpc::obs {
@@ -77,9 +78,9 @@ namespace rvhpc::serve {
       .count();
 }
 
-/// Aggregate counters of one Service instance's lifetime (the obs
-/// registry's rvhpc_serve_* counters aggregate across instances; tests and
-/// the replay summary want per-instance numbers).
+/// Aggregate counters of one Service instance's lifetime: a snapshot of
+/// this instance's registry (Service::registry(), the rvhpc_serve_*
+/// series), read without a lock.
 struct ServiceStats {
   std::uint64_t received = 0;       ///< request lines seen (non-blank)
   std::uint64_t ok = 0;             ///< evaluated, status "ok"
@@ -204,25 +205,14 @@ class Service {
   void flush(std::ostream& log);
 
   [[nodiscard]] ServiceStats stats() const;
+  /// This instance's rvhpc_serve_* series: every ServiceStats fact is
+  /// counted once, here, and the latency histogram (when metrics are on).
+  [[nodiscard]] obs::Registry& registry() { return registry_; }
   [[nodiscard]] engine::PredictionCache& cache() { return cache_; }
   [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] int jobs() const { return jobs_; }
 
  private:
-  /// ServiceStats as relaxed atomics: shards and pool workers count
-  /// without a lock, and stats() snapshots them.
-  struct Counters {
-    std::atomic<std::uint64_t> received{0};
-    std::atomic<std::uint64_t> ok{0};
-    std::atomic<std::uint64_t> dnr{0};
-    std::atomic<std::uint64_t> parse_errors{0};
-    std::atomic<std::uint64_t> lint_rejected{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<std::uint64_t> overloaded{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> restored{0};
-  };
-
   [[nodiscard]] bool expired(const Parsed& req, double arrival_us) const;
   [[nodiscard]] std::string timeout_response(const Parsed& req);
   /// Counts an answered prediction and renders its response line.
@@ -234,7 +224,20 @@ class Service {
   int jobs_;
   engine::PredictionCache cache_;
   std::mutex save_mu_;  ///< serialises concurrent flush() calls
-  Counters counters_;
+  obs::Registry registry_;
+  // registry_'s instruments, bound once: shards and pool workers count
+  // without a lookup or a lock.
+  obs::Counter& received_;
+  obs::Counter& ok_hit_;   ///< ok answers served from the memo cache
+  obs::Counter& ok_miss_;  ///< ok answers computed by a backend
+  obs::Counter& dnr_;
+  obs::Counter& parse_errors_;
+  obs::Counter& lint_rejected_;
+  obs::Counter& overloaded_;
+  obs::Counter& timeouts_;
+  obs::Counter& restored_;
+  obs::Counter& trimmed_;
+  obs::Histogram& latency_;
   std::atomic<std::uint64_t> since_checkpoint_{0};
 };
 

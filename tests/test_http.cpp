@@ -10,9 +10,13 @@
 // request line → 400 + close, connection limit → 503 + Retry-After) and
 // the drain contract (SIGTERM mid-chunked-response answers every item).
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -320,6 +324,29 @@ TEST(HttpServer_, BatchBodyStreamsBackChunked) {
   EXPECT_EQ(n, 3);
 }
 
+TEST(HttpServer_, LargeBatchOfCachedHitsIsNotASlowReader) {
+  // One batch of 1,000 cached hits is answered within one loop pass, and
+  // its ~330 KiB of chunks pass the 256 KiB write bound before the loop
+  // next writes: the reading client must get the whole body.
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
+  ASSERT_TRUE(cl.connected());
+  const std::string line = predict_line("", 8);
+  ASSERT_TRUE(cl.send_all(http_post(line)));  // warms the cache
+  http::ResponseParser warm;
+  ASSERT_TRUE(cl.recv_response(warm));
+
+  constexpr int kLines = 1000;
+  std::string body;
+  for (int i = 0; i < kLines; ++i) body += line;
+  ASSERT_TRUE(cl.send_all(http_post(body)));
+  http::ResponseParser rp;
+  ASSERT_TRUE(cl.recv_response(rp));
+  EXPECT_EQ(rp.status(), 200);
+  EXPECT_EQ(std::count(rp.body().begin(), rp.body().end(), '\n'), kLines);
+  EXPECT_EQ(s.server.stats().disconnect_slow_reader, 0u);
+}
+
 TEST(HttpServer_, MalformedRequestLineGets400AndClose) {
   net::LoopbackServer s(with_http());
   net::LoopbackClient cl(s.server.http_port());
@@ -584,6 +611,233 @@ TEST(HttpServer_, SlowLorisHeadersAnswered408AndCounted) {
             std::string::npos)
       << "the disconnect must surface as "
          "rvhpc_net_disconnect_total{reason=\"header_timeout\"}";
+}
+
+// --- one count per fact ----------------------------------------------------
+
+const std::string kScrapeRequest = "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n";
+
+/// One /metrics body: series name -> value, plus every name seen twice.
+struct Scrape {
+  std::map<std::string, double> series;
+  std::vector<std::string> duplicates;
+
+  /// The series `name` (an exact name, labels included); UINT64_MAX when
+  /// absent, so a missing series fails the comparison that asks for it.
+  [[nodiscard]] std::uint64_t at(const std::string& name) const {
+    const auto it = series.find(name);
+    return it == series.end() ? UINT64_MAX
+                              : static_cast<std::uint64_t>(it->second);
+  }
+  /// `family` plus every labeled child `family{...}`, summed.
+  [[nodiscard]] std::uint64_t sum(const std::string& family) const {
+    double total = 0.0;
+    for (const auto& [name, value] : series) {
+      if (name == family || name.rfind(family + "{", 0) == 0) total += value;
+    }
+    return static_cast<std::uint64_t>(total);
+  }
+};
+
+/// GET /metrics on `cl` (a keep-alive HTTP connection), parsed.
+Scrape scrape(net::LoopbackClient& cl) {
+  Scrape m;
+  if (!cl.send_all(kScrapeRequest)) return m;
+  http::ResponseParser rp;
+  if (!cl.recv_response(rp)) return m;
+  std::istringstream body(rp.body());
+  std::string line;
+  while (std::getline(body, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t sp = line.rfind(' ');
+    const std::string name = line.substr(0, sp);
+    if (m.series.count(name)) m.duplicates.push_back(name);
+    m.series[name] = std::stod(line.substr(sp + 1));
+  }
+  return m;
+}
+
+/// Every ServiceStats/ServerStats field equals its series (or the sum of
+/// its labeled children) in a scrape rendered right after `st` was read:
+/// only the scrape request's own bytes have arrived since.
+void expect_stats_match_series(const Scrape& m, const serve::ServiceStats& sv,
+                               const net::ServerStats& st) {
+  EXPECT_FALSE(m.series.empty());
+  EXPECT_TRUE(m.duplicates.empty())
+      << "series rendered twice, first: " << m.duplicates.front();
+  EXPECT_EQ(m.at("rvhpc_serve_requests_total"), sv.received);
+  EXPECT_EQ(m.sum("rvhpc_serve_ok_total"), sv.ok);
+  EXPECT_EQ(m.at("rvhpc_serve_ok_total{cache=\"hit\"}"), sv.cache_hits);
+  EXPECT_EQ(m.at("rvhpc_serve_dnr_total"), sv.dnr);
+  EXPECT_EQ(m.at("rvhpc_serve_rejected_total{reason=\"parse\"}"),
+            sv.parse_errors);
+  EXPECT_EQ(m.at("rvhpc_serve_rejected_total{reason=\"lint\"}"),
+            sv.lint_rejected);
+  EXPECT_EQ(m.at("rvhpc_serve_rejected_total{reason=\"overloaded\"}"),
+            sv.overloaded);
+  EXPECT_EQ(m.at("rvhpc_serve_timeouts_total"), sv.timeouts);
+  EXPECT_EQ(m.at("rvhpc_serve_cache_restored_total"), sv.restored);
+
+  EXPECT_EQ(m.sum("rvhpc_net_connections_total"), st.accepted);
+  EXPECT_EQ(m.sum("rvhpc_net_requests_total"), st.answered);
+  for (std::size_t i = 0; i < st.shard_connections.size(); ++i) {
+    const std::string shard = "{shard=\"" + std::to_string(i) + "\"}";
+    EXPECT_EQ(m.at("rvhpc_net_connections_total" + shard),
+              st.shard_connections[i]);
+    EXPECT_EQ(m.at("rvhpc_net_requests_total" + shard), st.shard_answered[i]);
+  }
+  EXPECT_EQ(m.at("rvhpc_net_dispatched_total"), st.dispatched);
+  EXPECT_EQ(m.at("rvhpc_net_inflight_requests"), st.inflight);
+  EXPECT_EQ(m.at("rvhpc_net_bytes_read_total"),
+            st.bytes_in + kScrapeRequest.size());
+  EXPECT_EQ(m.at("rvhpc_net_bytes_written_total"), st.bytes_out);
+  EXPECT_EQ(m.sum("rvhpc_http_requests_total"), st.http_requests);
+  const auto reason = [&](const char* r) {
+    return m.at(std::string("rvhpc_net_disconnect_total{reason=\"") + r +
+                "\"}");
+  };
+  EXPECT_EQ(reason("eof"), st.disconnect_eof);
+  EXPECT_EQ(reason("idle"), st.disconnect_idle);
+  EXPECT_EQ(reason("oversize"), st.disconnect_oversize);
+  EXPECT_EQ(reason("slow_reader"), st.disconnect_slow_reader);
+  EXPECT_EQ(reason("refused"), st.disconnect_refused);
+  EXPECT_EQ(reason("error"), st.disconnect_error);
+  EXPECT_EQ(reason("drained"), st.disconnect_drained);
+  EXPECT_EQ(reason("header_timeout"), st.disconnect_header_timeout);
+}
+
+TEST(HttpServer_, EveryStatsFieldIsItsMetricsSeries) {
+  obs::set_metrics_enabled(true);
+  std::ifstream in(std::string(RVHPC_SOURCE_DIR) +
+                   "/tests/data/serve_replay20.jsonl");
+  const std::string fixture((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  const auto lines = static_cast<int>(
+      std::count(fixture.begin(), fixture.end(), '\n'));
+  ASSERT_GT(lines, 0);
+
+  net::ServerOptions nopts = with_http();
+  nopts.shards = 2;
+  nopts.max_connections = 3;
+  nopts.max_line_bytes = 8192;
+  nopts.header_timeout_ms = 100;
+  nopts.poll_interval_ms = 5;
+  net::LoopbackServer s(nopts);
+
+  // The fixture over the raw wire (misses, a DNR, parse errors, a lint
+  // reject, a repeat that hits), then again as one HTTP batch (hits).
+  net::LoopbackClient raw(s.server.port());
+  ASSERT_TRUE(raw.connected());
+  ASSERT_TRUE(raw.send_all(fixture));
+  for (int i = 0; i < lines; ++i) ASSERT_FALSE(raw.recv_line().empty());
+  net::LoopbackClient web(s.server.http_port());
+  ASSERT_TRUE(web.connected());
+  ASSERT_TRUE(web.send_all(http_post(fixture)));
+  http::ResponseParser batch;
+  ASSERT_TRUE(web.recv_response(batch));
+  EXPECT_EQ(batch.status(), 200);
+
+  // An oversize line, a header timeout (HTTP: 408 + close) and, with two
+  // clients still open, one connection past the cap of three.
+  {
+    net::LoopbackClient big(s.server.port());
+    ASSERT_TRUE(big.connected());
+    (void)big.send_all(std::string(9000, 'x') + "\n");
+    ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+      return st.disconnect_oversize == 1;
+    }));
+  }
+  {
+    net::LoopbackClient loris(s.server.http_port());
+    ASSERT_TRUE(loris.connected());
+    ASSERT_TRUE(loris.send_all("GET /healthz HTTP/1.1\r\nHost:"));
+    ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+      return st.disconnect_header_timeout == 1;
+    }));
+  }
+  {
+    net::LoopbackClient third(s.server.port());
+    ASSERT_TRUE(third.connected());
+    ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+      return st.accepted == 5;
+    }));
+    net::LoopbackClient refused(s.server.port());
+    ASSERT_TRUE(refused.connected());
+    ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+      return st.disconnect_refused == 1;
+    }));
+  }
+  ASSERT_TRUE(s.wait_for([](const net::ServerStats& st) {
+    return st.inflight == 0 && st.disconnect_eof == 1;
+  }));
+
+  const serve::ServiceStats sv = s.service.stats();
+  const net::ServerStats st = s.server.stats();
+  EXPECT_EQ(sv.received, static_cast<std::uint64_t>(2 * lines));
+  EXPECT_GT(sv.cache_hits, 0u);
+  EXPECT_GT(sv.ok, sv.cache_hits);
+  EXPECT_GT(sv.dnr, 0u);
+  EXPECT_GT(sv.parse_errors, 0u);
+  EXPECT_GT(sv.lint_rejected, 0u);
+  EXPECT_EQ(sv.cache_hits, s.service.cache().hits())
+      << "the service's hit count is the memo cache's own";
+  EXPECT_EQ(st.accepted, 6u);
+  EXPECT_EQ(st.disconnect_oversize + st.disconnect_header_timeout +
+                st.disconnect_refused,
+            3u);
+  expect_stats_match_series(scrape(web), sv, st);
+  EXPECT_EQ(s.server.stats().http_requests, st.http_requests + 1)
+      << "the scrape itself is counted once it is answered";
+
+  // Overloaded: a second service that admits nothing.
+  serve::Service::Options none = net::LoopbackServer::one_job();
+  none.queue_capacity = 0;
+  net::LoopbackServer full(with_http(), none);
+  net::LoopbackClient cl(full.server.port());
+  ASSERT_TRUE(cl.connected());
+  ASSERT_TRUE(cl.send_all(predict_line("busy", 4)));
+  EXPECT_EQ(obs::json::parse(cl.recv_line()).find("error")->str,
+            "overloaded");
+  net::LoopbackClient web2(full.server.http_port());
+  ASSERT_TRUE(web2.connected());
+  ASSERT_TRUE(full.wait_for([](const net::ServerStats& st2) {
+    return st2.accepted == 2;
+  }));
+  EXPECT_EQ(full.service.stats().overloaded, 1u);
+  expect_stats_match_series(scrape(web2), full.service.stats(),
+                            full.server.stats());
+}
+
+TEST(HttpServer_, TwoServersInOneProcessReportOnlyTheirOwnTraffic) {
+  obs::set_metrics_enabled(true);
+  net::LoopbackServer a(with_http());
+  net::LoopbackServer b(with_http());
+  const auto drive = [](net::LoopbackServer& s, int requests) {
+    net::LoopbackClient cl(s.server.port());
+    ASSERT_TRUE(cl.connected());
+    for (int i = 0; i < requests; ++i) {
+      std::string id = "p";  // (two-step concat dodges GCC bug 105651)
+      id += std::to_string(i);
+      ASSERT_TRUE(cl.send_all(predict_line(id, 1 + i)));
+      ASSERT_FALSE(cl.recv_line().empty());
+    }
+  };
+  drive(a, 2);
+  drive(b, 5);
+
+  for (auto [s, requests] : {std::pair{&a, 2u}, std::pair{&b, 5u}}) {
+    net::LoopbackClient web(s->server.http_port());
+    ASSERT_TRUE(web.connected());
+    ASSERT_TRUE(s->wait_for([](const net::ServerStats& st) {
+      return st.accepted == 2 && st.disconnect_eof == 1;
+    }));
+    const Scrape m = scrape(web);
+    EXPECT_EQ(m.at("rvhpc_serve_requests_total"), requests);
+    EXPECT_EQ(m.sum("rvhpc_net_requests_total"), requests);
+    EXPECT_EQ(m.sum("rvhpc_net_connections_total"), 2u);
+    EXPECT_EQ(s->service.stats().received, requests);
+    EXPECT_EQ(s->server.stats().answered, requests);
+  }
 }
 
 }  // namespace

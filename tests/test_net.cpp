@@ -257,6 +257,34 @@ TEST(NetServer, SlowReaderIsDisconnectedWithBoundedMemory) {
   EXPECT_EQ(v.find("status")->str, "ok");
 }
 
+TEST(NetServer, PipelinedBurstOfCachedHitsIsNotASlowReader) {
+  // 1,000 short cached-hit lines in one write fit one 64 KiB read, and
+  // their ~330-byte answers pass the 256 KiB write bound within a single
+  // loop pass.  The client *is* reading, so it must get every answer
+  // rather than a slow-reader disconnect.
+  net::LoopbackServer s;
+  net::LoopbackClient cl(s.server.port());
+  ASSERT_TRUE(cl.connected());
+  const std::string line =
+      "{\"machine\": \"sg2044\", \"kernel\": \"EP\", \"cores\": 8}\n";
+  ASSERT_TRUE(cl.send_all(line));
+  ASSERT_FALSE(cl.recv_line().empty());  // warms the cache
+
+  constexpr int kLines = 1000;
+  std::string burst;
+  for (int r = 0; r < kLines; ++r) burst += line;
+  ASSERT_TRUE(cl.send_all(burst));
+  int received = 0;
+  while (received < kLines) {
+    const std::string response = cl.recv_line();
+    if (response.empty()) break;
+    EXPECT_NE(response.find("\"cache\": \"hit\""), std::string::npos);
+    ++received;
+  }
+  EXPECT_EQ(received, kLines);
+  EXPECT_EQ(s.server.stats().disconnect_slow_reader, 0u);
+}
+
 // --- timeouts -------------------------------------------------------------
 
 TEST(NetServer, IdleConnectionIsToldTimeoutAndClosed) {
