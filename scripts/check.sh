@@ -19,7 +19,9 @@
 # through the live stdio connection (sorted output byte-identical to the
 # replay; `| head -n 1` still drains and writes the cache), serves it
 # again over HTTP/1.1 (curl batch POST + rvhpc-client --http, /metrics
-# and /healthz probed, graceful drain), then re-runs the threaded
+# and /healthz probed, graceful drain), checks with the ids stripped that
+# stdio, TCP and HTTP answer in request order (unsorted, byte-identical
+# to the replay), then re-runs the threaded
 # tests under TSan to catch data races in the thread pool and the net
 # event loop.  Exits non-zero on the first failure.
 #
@@ -154,18 +156,24 @@ echo "== rvhpc-serve --listen=tcp: concurrent clients match the stdio replay"
 # clients interleave regardless of core count, so this passes on
 # single-CPU runners — no wall-clock assertions.
 client="$build_dir/src/net/rvhpc-client"
+# Prints the port a server logged as "<wire>: listening on 127.0.0.1:<port>"
+# (wire = net or http) to `log`, polling for up to 10 s; empty if it never
+# did.
+listen_port() {
+  local port=""
+  for _ in $(seq 1 100); do
+    port="$(sed -n "s/^$2: listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p" "$1")"
+    [ -n "$port" ] && break
+    sleep 0.1
+  done
+  echo "$port"
+}
 awk 'NR % 2 == 1' "$fixture" > "$serve_tmp/half_a.jsonl"
 awk 'NR % 2 == 0' "$fixture" > "$serve_tmp/half_b.jsonl"
 "$serve" --listen=tcp:0 --shards=2 --no-live-fields \
   --cache-file="$serve_tmp/tcp.cache" 2> "$serve_tmp/net.log" &
 serve_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$serve_tmp/net.log")"
-  [ -n "$port" ] && break
-  sleep 0.1
-done
+port="$(listen_port "$serve_tmp/net.log" net)"
 if [ -z "$port" ]; then
   echo "error: rvhpc-serve never reported its TCP port" >&2
   kill "$serve_pid" 2> /dev/null || true
@@ -224,13 +232,7 @@ echo "== rvhpc-serve --http: curl-able predictions match the stdio replay"
 "$serve" --http=tcp:0 --shards=2 --no-live-fields \
   --cache-file="$serve_tmp/http.cache" 2> "$serve_tmp/http.log" &
 http_pid=$!
-hport=""
-for _ in $(seq 1 100); do
-  hport="$(sed -n 's/.*http: listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$serve_tmp/http.log")"
-  [ -n "$hport" ] && break
-  sleep 0.1
-done
+hport="$(listen_port "$serve_tmp/http.log" http)"
 if [ -z "$hport" ]; then
   echo "error: rvhpc-serve never reported its HTTP port" >&2
   kill "$http_pid" 2> /dev/null || true
@@ -272,6 +274,40 @@ wait "$http_pid"  # the drain must be graceful: exit 0, not a crash
 grep -q "net: drained" "$serve_tmp/http.log"
 echo "-- rvhpc-client --http byte-identical to the stdio replay;" \
   "drain was graceful"
+
+echo "== rvhpc-serve: id-less responses keep request order on every wire"
+# Every fixture line carries an id, so the gates above compare sorted
+# output and never see order.  With the ids stripped, each live wire owes
+# its answers in request order (DESIGN.md §13.2) even though the interval
+# lines compute for longer than the cached ones behind them: live stdio,
+# one raw TCP client without --tag-ids and one HTTP batch must each match
+# the replay of the same id-less log byte for byte, unsorted.
+sed 's/"id": "[^"]*", //' "$fixture" > "$serve_tmp/noid.jsonl"
+"$serve" --replay="$serve_tmp/noid.jsonl" \
+  --out="$serve_tmp/noid_replay.jsonl" 2> /dev/null
+"$serve" --listen=stdio --no-live-fields < "$serve_tmp/noid.jsonl" \
+  > "$serve_tmp/noid_stdio.jsonl" 2> /dev/null
+cmp "$serve_tmp/noid_stdio.jsonl" "$serve_tmp/noid_replay.jsonl"
+"$serve" --listen=tcp:0 --http=tcp:0 --no-live-fields \
+  2> "$serve_tmp/noid.log" &
+noid_pid=$!
+port="$(listen_port "$serve_tmp/noid.log" net)"
+hport="$(listen_port "$serve_tmp/noid.log" http)"
+if [ -z "$port" ] || [ -z "$hport" ]; then
+  echo "error: rvhpc-serve never reported its TCP and HTTP ports" >&2
+  kill "$noid_pid" 2> /dev/null || true
+  exit 1
+fi
+"$client" --connect="127.0.0.1:$port" --in="$serve_tmp/noid.jsonl" \
+  --out="$serve_tmp/noid_tcp.jsonl" 2> /dev/null
+"$client" --http --connect="127.0.0.1:$hport" --in="$serve_tmp/noid.jsonl" \
+  --out="$serve_tmp/noid_http.jsonl" 2> /dev/null
+kill -TERM "$noid_pid"
+wait "$noid_pid"
+cmp "$serve_tmp/noid_tcp.jsonl" "$serve_tmp/noid_replay.jsonl"
+cmp "$serve_tmp/noid_http.jsonl" "$serve_tmp/noid_replay.jsonl"
+echo "-- $(wc -l < "$serve_tmp/noid_replay.jsonl") id-less responses in" \
+  "request order over stdio, TCP and HTTP, byte-identical to the replay"
 
 echo "== configure (TSan) -> $build_dir-tsan"
 # TSan cannot combine with ASan, so the threaded code gets its own

@@ -15,7 +15,8 @@
 //   * submit(): one std::function per task through a mutex-protected
 //     queue.  A task must not throw (one that does terminates the
 //     process); a caller that needs a result or an error carries it in
-//     the task itself, as net::Server's std::packaged_task does.
+//     the task itself, as net::Server's compute task does (it catches,
+//     and posts its response to its shard).
 //   * run_chunks(n, fn, max_participants): a caller-joined parallel loop
 //     for batch sweeps, whose µs-scale items make a task and a condvar
 //     wake per chunk cost more than the work.  The caller publishes one

@@ -13,12 +13,12 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
-#include <future>
 #include <iostream>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <streambuf>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -53,6 +53,13 @@ std::string error_line(const char* kind, const std::string& message) {
   return error_body(kind, message) + "\n";
 }
 
+/// The answer to a request line longer than the wire bound.
+std::string oversize_error(std::size_t max_line_bytes) {
+  return error_body("overloaded", "request line exceeds " +
+                                      std::to_string(max_line_bytes) +
+                                      " bytes");
+}
+
 /// The HTTP request counter of one route and status; the label set is
 /// part of the registry name.
 std::string http_series(const char* route, int status) {
@@ -67,19 +74,27 @@ std::string http_series(const char* route, int status) {
 constexpr const char* kHttpRequestsHelp =
     "HTTP exchanges completed, by route and status";
 
-/// Extracts the first complete line (without the '\n', trailing '\r'
-/// stripped) from `buf`; false when no newline is buffered yet.
-bool take_line(std::string& buf, std::string& line) {
-  const std::size_t nl = buf.find('\n');
-  if (nl == std::string::npos) return false;
-  line.assign(buf, 0, nl);
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  buf.erase(0, nl + 1);
+/// The line of `buf` starting at `pos` — up to the next '\n', a trailing
+/// '\r' dropped — with `pos` moved past it.  Without a '\n' the rest of
+/// `buf` is a line only `at_end` (an HTTP body's last line may lack one; a
+/// raw-wire read buffer's tail is a line still arriving).  False when no
+/// line is left.
+bool next_line(std::string_view buf, std::size_t& pos, bool at_end,
+               std::string_view& line) {
+  if (pos >= buf.size()) return false;
+  std::size_t nl = buf.find('\n', pos);
+  if (nl == std::string_view::npos) {
+    if (!at_end) return false;
+    nl = buf.size();
+  }
+  line = buf.substr(pos, nl - pos);
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+  pos = nl + 1;
   return true;
 }
 
-bool blank(const std::string& line) {
-  return line.find_first_not_of(" \t") == std::string::npos;
+bool blank(std::string_view line) {
+  return line.find_first_not_of(" \t") == std::string_view::npos;
 }
 
 /// std::cerr's buffer for the length of a stdio session (installed by the
@@ -201,42 +216,116 @@ namespace detail {
 
 // --- per-connection state (owned exclusively by one shard) ----------------
 
-/// One admitted request awaiting delivery.  `ordered` requests (no "id" on
-/// the wire) must be delivered in admission order; unordered ones deliver
-/// the moment their result is ready, from any position in the deque.
-struct Pending {
-  std::uint64_t seq = 0;
-  bool ordered = true;
-  bool done = false;       ///< `response` is final
-  bool delivered = false;  ///< appended to the write buffer (or dropped)
-  std::future<std::string> result;  ///< compute phase, when dispatched
-  std::string response;             ///< no trailing newline
+/// One response stream's ordering contract (DESIGN.md §13.2), written
+/// once for every wire: a raw-wire or stdio connection owns one outbox,
+/// and so does each HTTP exchange.  Items are admitted request lines, in
+/// request order.  An item whose request carried an id may be delivered
+/// the moment it is done, from any position; an id-less one only within
+/// the done front prefix, so a client that cannot match ids never sees a
+/// reordering.  What delivery writes is the wire's business: flush() hands
+/// each response to an emitter — a line on the raw wire, a chunk in an
+/// HTTP batch, the body of a single-item HTTP reply.
+class Outbox {
+ public:
+  /// Appends item `seq` (its connection's request-line number; an
+  /// outbox's items are consecutive): done with its final `response`
+  /// (no trailing newline), or awaiting complete().
+  void push(std::uint64_t seq, bool ordered, bool done,
+            std::string response) {
+    if (items_.empty()) first_seq_ = seq;
+    items_.push_back({std::move(response), ordered, done, false});
+  }
+
+  [[nodiscard]] bool holds(std::uint64_t seq) const {
+    return seq >= first_seq_ && seq - first_seq_ < items_.size();
+  }
+
+  /// Item `seq`'s compute landed (holds(seq) must be true).
+  void complete(std::uint64_t seq, std::string response) {
+    Item& item = items_[seq - first_seq_];
+    item.response = std::move(response);
+    item.done = true;
+  }
+
+  /// Every item delivered (so also an outbox that never had one).
+  [[nodiscard]] bool settled() const { return front_ == items_.size(); }
+
+  /// Delivers every item the contract allows now through
+  /// `emit(std::string& response)`, which writes it to the wire (and may
+  /// consume the string) or returns false when the wire takes nothing more
+  /// — the connection closed — which leaves the item undelivered and stops
+  /// the flush.
+  template <typename Emit>
+  void flush(Emit&& emit) {
+    // Id-carrying items: the moment they are done, from any position.
+    for (std::size_t i = front_; i < items_.size(); ++i) {
+      Item& item = items_[i];
+      if (!item.ordered && item.done && !item.delivered &&
+          !deliver(item, emit)) {
+        return;
+      }
+    }
+    // Id-less items: only from the front, so a slow one holds its
+    // successors back.
+    while (front_ < items_.size()) {
+      Item& item = items_[front_];
+      if (!item.delivered && !(item.done && deliver(item, emit))) break;
+      ++front_;
+    }
+    // The delivered prefix goes once it is half the vector, so an outbox
+    // that always has compute in flight stays within twice its undelivered
+    // span; when everything is delivered this is a clear(), which keeps
+    // the capacity for the next request.
+    if (front_ > 0 && 2 * front_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(front_));
+      first_seq_ += front_;
+      front_ = 0;
+    }
+  }
+
+ private:
+  struct Item {
+    std::string response;  ///< final once `done`; released once delivered
+    bool ordered = true;   ///< id-less: delivered in request order
+    bool done = false;
+    bool delivered = false;
+  };
+
+  template <typename Emit>
+  static bool deliver(Item& item, Emit& emit) {
+    if (!emit(item.response)) return false;
+    item.delivered = true;
+    std::string().swap(item.response);
+    return true;
+  }
+
+  // A vector with a front cursor instead of a deque: a single-request
+  // HTTP exchange then costs one allocation, not a deque block map (the
+  // path the http_throughput gate measures against the raw wire), and a
+  // raw connection's steady stream reuses one buffer.
+  std::vector<Item> items_;
+  std::size_t front_ = 0;        ///< first item not yet passed in order
+  std::uint64_t first_seq_ = 0;  ///< seq of items_[0]
 };
 
 /// One HTTP request/response pair in flight on a connection.  Exchanges
 /// answer strictly in request order (HTTP pipelining), so only the front
-/// of Connection::exchanges ever writes to the socket; a batch POST
-/// streams each prediction as a chunk the moment it completes (subject
-/// to the same ordered/unordered id contract as the raw wire).
+/// of Connection::exchanges ever writes to the socket.  A predict
+/// exchange's body lines are the items of its outbox.
 struct HttpExchange {
   int status = 200;
   const char* route = "other";  ///< http::route_label, stable storage
   const char* allow = "";       ///< Allow header for 405 responses
   const char* content_type = "application/json";
   bool chunked = false;    ///< batch predict: stream items as chunks
-  bool immediate = false;  ///< `body` is final; no items pending
   bool head_sent = false;
   bool head_only = false;  ///< HEAD request: send the head, omit the body
   bool keep_alive = true;
   bool healthz = false;  ///< status/body computed at delivery (drain-aware)
   bool metrics = false;  ///< body rendered at delivery (scrape ordering)
   std::string body;
-  // Predict lines awaiting completion.  A vector with a front cursor
-  // instead of a deque: the common single-request exchange then costs
-  // one allocation, not a deque block map (this path is what the
-  // http_throughput gate measures against the raw wire).
-  std::vector<Pending> items;
-  std::size_t next_item = 0;  ///< first item not yet consumed in order
+  Outbox outbox;
   double start_us = 0.0;
 };
 
@@ -250,8 +339,8 @@ struct Connection {
   int wflags = 0;
   std::string rbuf;
   std::string wbuf;
-  std::deque<Pending> pending;
-  std::uint64_t next_seq = 0;
+  Outbox outbox;  ///< the raw wire's responses (HTTP: one per exchange)
+  std::uint64_t next_seq = 0;  ///< next request line's number
   double last_read_us = 0.0;
   /// When the currently-unfinished request's first byte arrived; 0 when
   /// no request is mid-frame.  Unlike last_read_us this is *not* advanced
@@ -281,16 +370,12 @@ void release_fds(Connection& c) {
   c.rfd = c.wfd = -1;
 }
 
-/// Locates a dispatched request by per-connection sequence number — it
-/// lives either on the raw-wire deque or inside an HTTP exchange.
-Pending* find_pending(Connection& c, std::uint64_t seq) {
-  for (Pending& p : c.pending) {
-    if (p.seq == seq) return &p;
-  }
+/// The outbox holding item `seq`: the connection's own on the raw wire,
+/// its exchange's over HTTP (exchanges hold consecutive seq ranges).
+Outbox* outbox_of(Connection& c, std::uint64_t seq) {
+  if (!c.http) return &c.outbox;
   for (HttpExchange& ex : c.exchanges) {
-    for (Pending& p : ex.items) {
-      if (p.seq == seq) return &p;
-    }
+    if (ex.outbox.holds(seq)) return &ex.outbox;
   }
   return nullptr;
 }
@@ -412,7 +497,7 @@ class ComputeQueue {
 // --- Shard: one event loop ------------------------------------------------
 
 /// One poll() loop on its own thread.  The acceptor deals sockets in via
-/// adopt(); compute tasks report finished futures via on_complete();
+/// adopt(); compute tasks hand their responses back via on_complete();
 /// both poke the wakeup pipe so the loop reacts immediately instead of on
 /// the next poll timeout.  Every Connection is touched by exactly one
 /// shard thread — a compute task only ever holds a weak_ptr it never
@@ -444,14 +529,16 @@ class Shard {
   /// Hands a connection to this shard (acceptor thread).
   void adopt(const Incoming& in);
 
-  /// A dispatched compute phase finished (pool thread): queue the
-  /// completion and wake the loop so the response is delivered now.
-  void on_complete(const std::weak_ptr<Connection>& conn, std::uint64_t seq);
+  /// A dispatched compute phase finished (pool thread): queue its
+  /// response and wake the loop so it is delivered now.
+  void on_complete(const std::weak_ptr<Connection>& conn, std::uint64_t seq,
+                   std::string response);
 
  private:
   struct Completion {
     std::weak_ptr<Connection> conn;
     std::uint64_t seq = 0;
+    std::string response;
   };
 
   void loop();
@@ -463,26 +550,26 @@ class Shard {
   bool admit_one(const std::shared_ptr<Connection>& cp);
   bool process_http_one(const std::shared_ptr<Connection>& cp);
   void handle_http_request(const std::shared_ptr<Connection>& cp);
-  void fail_http(Connection& c, http::Error err);
   void flush_http(Connection& c);
   bool append_out(Connection& c, std::string_view data);
   bool make_room(Connection& c, std::size_t n);
-  void finish_exchange(Connection& c, const HttpExchange& ex);
+  void finish_exchange(const HttpExchange& ex);
   void process_lines();
-  Pending evaluate_line(const std::shared_ptr<Connection>& cp,
-                        const std::string& line);
-  void dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
+  void evaluate_line(const std::shared_ptr<Connection>& cp,
+                     const std::string& line, Outbox& out);
+  void dispatch(const std::shared_ptr<Connection>& cp, std::uint64_t seq,
                 serve::Service::Admission adm);
-  void deliver(Connection& c, Pending& p);
+  void deliver(Connection& c);
   void note_answered();
   void count_http(const char* route, int status);
-  void flush_deliverable(Connection& c);
   void drain_completions();
   void write_some(Connection& c);
   void flush_writes();
   void reap_and_time_out();
   void begin_close(Connection& c, Disconnect cause,
                    const std::string& farewell);
+  void close_with_error(Connection& c, Disconnect cause, int http_status,
+                        const std::string& line);
   void close_now(Connection& c, Disconnect cause);
   void publish_gauges() const;
 
@@ -500,6 +587,8 @@ class Shard {
   // Loop-thread-only state.
   std::vector<std::shared_ptr<Connection>> conns_;
   std::size_t rr_ = 0;       ///< round-robin fairness cursor
+  std::size_t awaiting_ = 0;  ///< computes dispatched, completion not drained
+  std::string line_;          ///< the request line being admitted
   std::string http_scratch_;  ///< response head/chunk build buffer
 };
 
@@ -548,10 +637,10 @@ void Shard::adopt(const Incoming& in) {
 }
 
 void Shard::on_complete(const std::weak_ptr<Connection>& conn,
-                        std::uint64_t seq) {
+                        std::uint64_t seq, std::string response) {
   {
     std::lock_guard lock(cq_mu_);
-    completions_.push_back({conn, seq});
+    completions_.push_back({conn, seq, std::move(response)});
   }
   wake();
 }
@@ -599,22 +688,12 @@ void Shard::adopt_incoming() {
     }
     if (inc.refused) {
       // Polite refusal: a structured answer beats a dangling connect.
-      const std::string reason =
-          "connection limit (" +
-          std::to_string(server_.opts_.max_connections) +
-          ") reached; retry later";
-      if (inc.http) {
-        const std::string body = error_line("overloaded", reason);
-        std::string farewell;
-        http::append_head(farewell, 503, /*keep_alive=*/false,
-                          "application/json", body.size(),
-                          "Retry-After: 1\r\n");
-        farewell += body;
-        count_http("other", 503);
-        begin_close(*c, Disconnect::Refused, farewell);
-      } else {
-        begin_close(*c, Disconnect::Refused, error_line("overloaded", reason));
-      }
+      close_with_error(*c, Disconnect::Refused, 503,
+                       error_line("overloaded",
+                                  "connection limit (" +
+                                      std::to_string(
+                                          server_.opts_.max_connections) +
+                                      ") reached; retry later"));
     }
     conns_.push_back(std::move(c));
   }
@@ -632,6 +711,24 @@ void Shard::begin_close(Connection& c, Disconnect cause,
   c.closing = true;
   c.cause = cause;
   c.closing_since_us = now_us();
+}
+
+/// Answers `line` (a newline-terminated error_line) and closes: the line
+/// itself on the raw wire, a fixed-length `http_status` reply carrying it
+/// over HTTP (counted under route "other"; a 503 adds Retry-After).
+void Shard::close_with_error(Connection& c, Disconnect cause, int http_status,
+                             const std::string& line) {
+  if (!c.http) {
+    begin_close(c, cause, line);
+    return;
+  }
+  std::string reply;
+  http::append_head(reply, http_status, /*keep_alive=*/false,
+                    "application/json", line.size(),
+                    http_status == 503 ? "Retry-After: 1\r\n" : "");
+  reply += line;
+  count_http("other", http_status);
+  begin_close(c, cause, reply);
 }
 
 void Shard::close_now(Connection& c, Disconnect cause) {
@@ -689,113 +786,97 @@ bool Shard::admit_one(const std::shared_ptr<Connection>& cp) {
     return false;
   }
 
-  std::string line;
-  if (!take_line(c.rbuf, line)) {
-    // No complete line.  A partial line past the bound can never complete
-    // within it — reject it now rather than buffering forever.
-    if (c.rbuf.size() > server_.opts_.max_line_bytes) {
-      begin_close(c, Disconnect::Oversize,
-                  error_line("overloaded",
-                             "request line exceeds " +
-                                 std::to_string(server_.opts_.max_line_bytes) +
-                                 " bytes"));
-    }
-    return false;
+  std::size_t end = 0;
+  std::string_view line;
+  const bool whole = next_line(c.rbuf, end, /*at_end=*/false, line);
+  if (whole && blank(line)) {  // consumed input, no response owed
+    c.rbuf.erase(0, end);
+    return true;
   }
-  if (blank(line)) return true;  // consumed input, no response owed
-  if (line.size() > server_.opts_.max_line_bytes) {
+  // A line past the bound — or a partial one, which can never complete
+  // within it — is rejected now rather than buffered forever.
+  if ((whole ? line.size() : c.rbuf.size()) > server_.opts_.max_line_bytes) {
     begin_close(c, Disconnect::Oversize,
-                error_line("overloaded",
-                           "request line exceeds " +
-                               std::to_string(server_.opts_.max_line_bytes) +
-                               " bytes"));
+                oversize_error(server_.opts_.max_line_bytes) + '\n');
     return false;
   }
-  c.pending.push_back(evaluate_line(cp, line));
-  flush_deliverable(c);
+  if (!whole) return false;
+  line_.assign(line);
+  c.rbuf.erase(0, end);
+  evaluate_line(cp, line_, c.outbox);
+  deliver(c);
   return true;
 }
 
-/// The protocol-independent admission core: turns one request line into a
-/// Pending — resolved inline (overloaded rejection, parse/lint error,
-/// warm cache hit) or dispatched to the compute queue.  The raw wire
-/// pushes the result onto Connection::pending; the HTTP front end onto
-/// the owning exchange's items.
-Pending Shard::evaluate_line(const std::shared_ptr<Connection>& cp,
-                             const std::string& line) {
-  Connection& c = *cp;
-  Pending p;
-  p.seq = c.next_seq++;
+/// The protocol-independent admission core: turns one request line into
+/// the next item of `out` — the connection's outbox on the raw wire, the
+/// exchange's over HTTP — resolved inline (overloaded rejection,
+/// parse/lint error, warm cache hit) or dispatched to the compute queue.
+void Shard::evaluate_line(const std::shared_ptr<Connection>& cp,
+                          const std::string& line, Outbox& out) {
+  const std::uint64_t seq = cp->next_seq++;
 
   // A single line past the wire bound answers an error instead of ever
   // being parsed (over HTTP the connection survives — the body bound
   // already capped total memory; on the raw wire admit_one closed it).
+  // Its answer carries no id, so it keeps its turn in request order.
   if (line.size() > server_.opts_.max_line_bytes) {
-    p.ordered = false;
-    p.done = true;
-    p.response = error_body(
-        "overloaded", "request line exceeds " +
-                          std::to_string(server_.opts_.max_line_bytes) +
-                          " bytes");
-    return p;
+    out.push(seq, /*ordered=*/true, /*done=*/true,
+             oversize_error(server_.opts_.max_line_bytes));
+    return;
   }
 
   // Admission bound, checked before the parse on every transport: compute
-  // dispatched and not yet completed past the service's queue capacity is
-  // answered "overloaded" immediately.
-  if (server_.inflight_.load(std::memory_order_relaxed) >=
-      server_.service_.options().queue_capacity) {
-    p.ordered = false;
-    p.done = true;
-    p.response = server_.service_.reject_overloaded();
-    return p;
-  }
-
-  serve::Service::Admission adm = server_.service_.admit(line);
-  p.ordered = !adm.had_id;
+  // dispatched and not yet completed past the service's queue capacity
+  // sheds the line — answered "overloaded" now, with its id when it has
+  // one, and ordered like any other answer.
+  const bool shed = server_.inflight_.load(std::memory_order_relaxed) >=
+                    server_.service_.options().queue_capacity;
+  serve::Service::Admission adm =
+      shed ? server_.service_.shed(line) : server_.service_.admit(line);
+  const bool ordered = !adm.had_id;
   if (!adm.request) {
-    // Resolved at admission (parse error, lint rejection).
-    p.done = true;
-    p.response = std::move(adm.response);
-    return p;
+    // Resolved at admission (shed, parse error, lint rejection).
+    out.push(seq, ordered, /*done=*/true, std::move(adm.response));
+    return;
   }
   if (std::optional<std::string> warm = server_.service_.complete_if_cached(
           *adm.request, adm.arrival_us)) {
     // Warm path: one memo probe answers inline on the event loop — cheaper
     // than a pool handoff, and it is what keeps cached hits flowing on
     // every connection while uncached requests compute.
-    p.done = true;
-    p.response = *std::move(warm);
+    out.push(seq, ordered, /*done=*/true, *std::move(warm));
     if (server_.service_.note_evaluation() && server_.flusher_) {
       server_.flusher_->notify();
     }
-    return p;
+    return;
   }
-  dispatch(cp, p, std::move(adm));
-  return p;
+  out.push(seq, ordered, /*done=*/false, {});
+  dispatch(cp, seq, std::move(adm));
 }
 
-void Shard::dispatch(const std::shared_ptr<Connection>& cp, Pending& p,
+void Shard::dispatch(const std::shared_ptr<Connection>& cp, std::uint64_t seq,
                      serve::Service::Admission adm) {
-  // packaged_task owns the compute phase: its future carries the response
-  // (or the exception) back to the loop thread, and running it *before*
-  // poking the shard guarantees the future is ready when the loop calls
-  // get().
-  auto task = std::make_shared<std::packaged_task<std::string()>>(
-      [service = &server_.service_, req = adm.request,
-       arrival = adm.arrival_us] { return service->complete(*req, arrival); });
-  p.result = task->get_future();
-  const std::uint64_t seq = p.seq;
-
   server_.inflight_.fetch_add(1, std::memory_order_relaxed);
   server_.dispatched_.add();
-  std::weak_ptr<Connection> wk = cp;
-  server_.compute_->submit([this, task, wk = std::move(wk), seq] {
-    (*task)();
+  ++awaiting_;
+  // The task carries its response back in the completion, and pokes the
+  // shard only after the rest of its bookkeeping is done.
+  server_.compute_->submit([this, wk = std::weak_ptr<Connection>(cp), seq,
+                            req = std::move(adm.request),
+                            arrival = adm.arrival_us] {
+    std::string response;
+    try {
+      response = server_.service_.complete(*req, arrival);
+    } catch (const std::exception& e) {
+      // complete() promises not to throw; this is the belt to that
+      // suspender — the client still gets a structured line.
+      response = error_body("internal", e.what());
+    }
     const bool checkpoint_due = server_.service_.note_evaluation();
     server_.inflight_.fetch_sub(1, std::memory_order_relaxed);
     if (checkpoint_due && server_.flusher_) server_.flusher_->notify();
-    on_complete(wk, seq);
+    on_complete(wk, seq, std::move(response));
   });
 }
 
@@ -841,7 +922,14 @@ bool Shard::process_http_one(const std::shared_ptr<Connection>& cp) {
     }
   }
   if (parser.failed()) {
-    fail_http(c, parser.error());
+    // Malformed framing leaves no way to find the next request's
+    // boundary, so the connection cannot survive it.
+    const http::Error err = parser.error();
+    const int status = http::status_for_error(err);
+    close_with_error(c,
+                     (status == 413 || status == 431) ? Disconnect::Oversize
+                                                      : Disconnect::Error,
+                     status, error_line("parse", http::to_string(err)));
     return true;
   }
   if (!parser.complete()) {
@@ -882,32 +970,25 @@ void Shard::handle_http_request(const std::shared_ptr<Connection>& cp) {
       // goes through exactly the admission path TCP lines do; a single
       // line answers a status-mapped fixed-length reply, two or more
       // stream back chunked as their compute completes.
-      const std::string_view body = parser.body();
-      std::string line;
-      std::size_t pos = 0;
-      while (pos < body.size()) {
-        std::size_t nl = body.find('\n', pos);
-        const std::size_t end = (nl == std::string_view::npos) ? body.size()
-                                                               : nl;
-        std::string_view raw = body.substr(pos, end - pos);
-        if (!raw.empty() && raw.back() == '\r') raw.remove_suffix(1);
-        pos = end + 1;
-        line.assign(raw);
-        if (!blank(line)) ex.items.push_back(evaluate_line(cp, line));
+      std::size_t lines = 0;
+      std::string_view line;
+      for (std::size_t pos = 0;
+           next_line(parser.body(), pos, /*at_end=*/true, line);) {
+        if (blank(line)) continue;
+        line_.assign(line);
+        evaluate_line(cp, line_, ex.outbox);
+        ++lines;
       }
-      if (ex.items.empty()) {
-        ex.immediate = true;
+      if (lines == 0) {
         ex.status = 400;
         ex.body = error_line("parse", "empty request body");
-      } else {
-        ex.chunked = ex.items.size() > 1;
       }
+      ex.chunked = lines > 1;
       break;
     }
     case http::Route::Metrics:
       // Rendered when the head is written, not here: a scrape pipelined
       // behind a predict must observe that predict's counters.
-      ex.immediate = true;
       ex.metrics = true;
       ex.content_type = "text/plain; version=0.0.4";
       break;
@@ -915,17 +996,14 @@ void Shard::handle_http_request(const std::shared_ptr<Connection>& cp) {
       // Status and body are computed when the head is written, so a
       // pipelined healthz behind a slow batch reports "draining" if the
       // server started draining in between.
-      ex.immediate = true;
       ex.healthz = true;
       break;
     case http::Route::NotFound:
-      ex.immediate = true;
       ex.status = 404;
       ex.body = error_line("parse", "no such route; POST /v1/predict, "
                                     "GET /metrics, GET /healthz");
       break;
     case http::Route::MethodNotAllowed:
-      ex.immediate = true;
       ex.status = 405;
       ex.allow = match.allow;
       ex.body = error_line("parse", "method not allowed");
@@ -934,25 +1012,7 @@ void Shard::handle_http_request(const std::shared_ptr<Connection>& cp) {
   c.exchanges.push_back(std::move(ex));
 }
 
-/// A request that cannot be parsed gets one full HTTP error response and
-/// a close — malformed framing leaves no way to find the next request's
-/// boundary, so the connection cannot survive.
-void Shard::fail_http(Connection& c, http::Error err) {
-  const int status = http::status_for_error(err);
-  const std::string body = error_line("parse", http::to_string(err));
-  std::string farewell;
-  http::append_head(farewell, status, /*keep_alive=*/false,
-                    "application/json", body.size());
-  farewell += body;
-  count_http("other", status);
-  begin_close(c,
-              (status == 413 || status == 431) ? Disconnect::Oversize
-                                               : Disconnect::Error,
-              farewell);
-}
-
-void Shard::finish_exchange(Connection& c, const HttpExchange& ex) {
-  (void)c;
+void Shard::finish_exchange(const HttpExchange& ex) {
   count_http(ex.route, ex.status);
   if (obs::metrics_enabled()) {
     server_.http_duration_.observe((now_us() - ex.start_us) / 1e6);
@@ -960,31 +1020,28 @@ void Shard::finish_exchange(Connection& c, const HttpExchange& ex) {
 }
 
 /// Writes whatever the front exchange can deliver.  Exchanges answer in
-/// request order (pipelining), so only the front touches the socket:
-/// fixed-length replies wait for their single item, chunked batches
-/// stream every completed item (unordered from any position, ordered
-/// from the front — the raw wire's id contract) and terminate with the
-/// last-chunk once all items delivered.
+/// request order (pipelining), so only the front touches the socket: a
+/// single-item predict reply waits for its item, a chunked batch streams
+/// each item its outbox releases and ends with the last-chunk once all
+/// are delivered.
 void Shard::flush_http(Connection& c) {
   while (!c.exchanges.empty() && c.rfd >= 0 && !c.closing) {
     HttpExchange& ex = c.exchanges.front();
 
-    // A single-item predict reply becomes an immediate body once its
-    // compute lands: the status is mapped from the response itself
-    // (overloaded → 503, timeout → 504), which needs the whole reply
-    // before the head.
-    if (!ex.immediate && !ex.chunked) {
-      Pending& item = ex.items.front();
-      if (!item.done) break;
-      ex.status = http::status_for_response(item.response);
-      ex.body = std::move(item.response);
-      ex.body += '\n';
-      ex.items.clear();
-      ex.immediate = true;
-      note_answered();
-    }
-
     if (!ex.head_sent) {
+      if (!ex.chunked) {
+        // A single-item predict reply is fixed-length and its status is
+        // mapped from the response itself (overloaded → 503, timeout →
+        // 504), so the head waits for the item, which becomes the body.
+        ex.outbox.flush([&](std::string& response) {
+          ex.status = http::status_for_response(response);
+          ex.body = std::move(response);
+          ex.body += '\n';
+          note_answered();
+          return true;
+        });
+        if (!ex.outbox.settled()) break;
+      }
       if (ex.metrics) ex.body = server_.render_metrics();
       if (ex.healthz) {
         const bool draining = stop_.load(std::memory_order_relaxed) ||
@@ -1013,53 +1070,22 @@ void Shard::flush_http(Connection& c) {
       }
       if (!append_out(c, head)) return;
       ex.head_sent = true;
-      if (!ex.chunked) {
-        finish_exchange(c, ex);
-        const bool keep = ex.keep_alive;
-        c.exchanges.pop_front();
-        if (!keep) {
-          begin_close(c, Disconnect::Eof, "");
-          return;
-        }
-        continue;
-      }
     }
 
-    // Chunked streaming: unordered (id-carrying) items the moment they
-    // complete, ordered ones only from the front cursor.
-    std::string& chunk = http_scratch_;  // head is already flushed out
-    for (std::size_t i = ex.next_item; i < ex.items.size(); ++i) {
-      Pending& p = ex.items[i];
-      if (!p.ordered && p.done && !p.delivered) {
-        p.response += '\n';
+    if (ex.chunked) {
+      ex.outbox.flush([&](std::string& response) {
+        response += '\n';
+        std::string& chunk = http_scratch_;  // the head is already out
         chunk.clear();
-        http::append_chunk(chunk, p.response);
-        if (!append_out(c, chunk)) return;
-        p.delivered = true;
+        http::append_chunk(chunk, response);
+        if (!append_out(c, chunk)) return false;
         note_answered();
-      }
+        return true;
+      });
+      if (!ex.outbox.settled()) break;  // still waiting on compute
+      if (!append_out(c, http::kLastChunk)) return;
     }
-    while (ex.next_item < ex.items.size()) {
-      Pending& front = ex.items[ex.next_item];
-      if (front.delivered) {
-        ++ex.next_item;
-        continue;
-      }
-      if (front.ordered && front.done) {
-        front.response += '\n';
-        chunk.clear();
-        http::append_chunk(chunk, front.response);
-        if (!append_out(c, chunk)) return;
-        front.delivered = true;
-        note_answered();
-        ++ex.next_item;
-        continue;
-      }
-      break;
-    }
-    if (ex.next_item < ex.items.size()) break;  // still waiting on compute
-    if (!append_out(c, http::kLastChunk)) return;
-    finish_exchange(c, ex);
+    finish_exchange(ex);
     const bool keep = ex.keep_alive;
     c.exchanges.pop_front();
     if (!keep) {
@@ -1108,40 +1134,24 @@ void Shard::count_http(const char* route, int status) {
   }
 }
 
-void Shard::deliver(Connection& c, Pending& p) {
-  p.delivered = true;
-  if (c.rfd < 0 || c.closing) return;  // response owed to no one now
-  // A socket client not draining responses is dropped: holding more would
-  // be unbounded memory, and it cannot read an apology either.
-  if (!make_room(c, p.response.size() + 1)) return;
-  c.wbuf += p.response;
-  c.wbuf += '\n';
-  note_answered();
-}
-
-void Shard::flush_deliverable(Connection& c) {
-  // Unordered (id-carrying) responses deliver the moment they are done,
-  // from any position — the out-of-order completion contract.
-  for (Pending& p : c.pending) {
-    if (c.rfd < 0 || c.closing) break;
-    if (!p.ordered && p.done && !p.delivered) deliver(c, p);
+/// Writes whatever `c` may deliver now — the one delivery step both
+/// wires share: the raw wire's outbox as response lines, an HTTP
+/// connection's exchanges through flush_http.
+void Shard::deliver(Connection& c) {
+  if (c.http) {
+    flush_http(c);
+    return;
   }
-  // Ordered (id-less) responses only ever deliver from the front, so a
-  // slow ordered request holds its successors back — exactly the stdio
-  // contract a client that sends no ids relies on.
-  while (!c.pending.empty()) {
-    Pending& front = c.pending.front();
-    if (front.delivered) {
-      c.pending.pop_front();
-      continue;
-    }
-    if (front.ordered && front.done && c.rfd >= 0 && !c.closing) {
-      deliver(c, front);
-      c.pending.pop_front();
-      continue;
-    }
-    break;
-  }
+  c.outbox.flush([&](const std::string& response) {
+    if (c.rfd < 0 || c.closing) return false;  // owed to no one now
+    // A socket client not draining responses is dropped: holding more
+    // would be unbounded memory, and it cannot read an apology either.
+    if (!make_room(c, response.size() + 1)) return false;
+    c.wbuf += response;
+    c.wbuf += '\n';
+    note_answered();
+    return true;
+  });
 }
 
 void Shard::drain_completions() {
@@ -1150,24 +1160,14 @@ void Shard::drain_completions() {
     std::lock_guard lock(cq_mu_);
     ready.swap(completions_);
   }
-  for (const Completion& done : ready) {
+  for (Completion& done : ready) {
+    --awaiting_;
     const std::shared_ptr<Connection> c = done.conn.lock();
     if (!c) continue;
-    if (Pending* p = find_pending(*c, done.seq)) {
-      try {
-        p->response = p->result.get();
-      } catch (const std::exception& e) {
-        // complete() promises not to throw; this is the belt to that
-        // suspender — the client still gets a structured line.
-        p->response = error_body("internal", e.what());
-      }
-      p->done = true;
+    if (Outbox* out = outbox_of(*c, done.seq)) {
+      out->complete(done.seq, std::move(done.response));
     }
-    if (c->http) {
-      flush_http(*c);
-    } else {
-      flush_deliverable(*c);
-    }
+    deliver(*c);
   }
 }
 
@@ -1201,7 +1201,7 @@ void Shard::reap_and_time_out() {
     if (c.rfd < 0) continue;
     const bool owes_nothing =
         c.http ? (c.rbuf.empty() && c.exchanges.empty())
-               : (c.rbuf.find('\n') == std::string::npos && c.pending.empty());
+               : (c.rbuf.find('\n') == std::string::npos && c.outbox.settled());
     if ((c.closing || c.draining) && c.wbuf.empty() &&
         (c.closing || owes_nothing)) {
       close_now(c, c.cause);
@@ -1218,8 +1218,9 @@ void Shard::reap_and_time_out() {
     // check below cannot catch this — every dripped byte advances
     // last_read_us — so the partial clock is stamped once per request
     // and only cleared when the framing completes.
-    if (!c.closing && !c.draining && c.pending.empty() &&
-        c.exchanges.empty() && server_.opts_.header_timeout_ms > 0.0) {
+    const bool quiet = c.outbox.settled() && c.exchanges.empty();
+    if (!c.closing && !c.draining && quiet &&
+        server_.opts_.header_timeout_ms > 0.0) {
       const bool partial =
           c.http ? (c.parser && c.parser->started() && !c.parser->complete())
                  : (!c.rbuf.empty() &&
@@ -1230,26 +1231,17 @@ void Shard::reap_and_time_out() {
         c.partial_since_us = now;
       } else if (now - c.partial_since_us >
                  server_.opts_.header_timeout_ms * 1000.0) {
-        const std::string body = error_line(
-            "timeout",
-            "request not completed within " +
-                std::to_string(server_.opts_.header_timeout_ms) +
-                " ms; closing");
-        if (c.http) {
-          std::string farewell;
-          http::append_head(farewell, 408, /*keep_alive=*/false,
-                            "application/json", body.size());
-          farewell += body;
-          count_http("other", 408);
-          begin_close(c, Disconnect::HeaderTimeout, farewell);
-        } else {
-          begin_close(c, Disconnect::HeaderTimeout, body);
-        }
+        close_with_error(
+            c, Disconnect::HeaderTimeout, 408,
+            error_line("timeout",
+                       "request not completed within " +
+                           std::to_string(server_.opts_.header_timeout_ms) +
+                           " ms; closing"));
         continue;
       }
     }
-    if (!c.closing && !c.draining && c.pending.empty() &&
-        c.exchanges.empty() && server_.opts_.idle_timeout_ms > 0.0 &&
+    if (!c.closing && !c.draining && quiet &&
+        server_.opts_.idle_timeout_ms > 0.0 &&
         now - c.last_read_us > server_.opts_.idle_timeout_ms * 1000.0) {
       if (c.http) {
         // An idle keep-alive connection owes no response; close quietly
@@ -1332,63 +1324,30 @@ void Shard::loop() {
 
 void Shard::drain() {
   adopt_incoming();
-  // Pick up whatever the kernel already buffered — a client that
-  // pipelined requests just before SIGTERM (say a healthz probe behind a
-  // slow batch) still gets every one answered, with healthz now
-  // reporting "draining".
-  for (auto& c : conns_) {
-    if (c->rfd >= 0 && !c->draining && !c->closing) read_ready(*c);
-  }
-  process_lines();
-  // Answered, not dropped: every dispatched compute future completes and
+  // Answered, not dropped: every dispatched compute completes and
   // delivers before sockets are torn down.  This wait is not grace-bounded
   // — the compute queue outlives the shards precisely so it terminates.
   while (true) {
-    drain_completions();
-    flush_writes();
-    bool undone = false;
-    for (const auto& c : conns_) {
-      if (c->rfd < 0) continue;
-      for (const Pending& p : c->pending) {
-        if (!p.done) {
-          undone = true;
-          break;
-        }
-      }
-      for (const HttpExchange& ex : c->exchanges) {
-        for (const Pending& p : ex.items) {
-          if (!p.done) {
-            undone = true;
-            break;
-          }
-        }
-        if (undone) break;
-      }
-      if (undone) break;
-    }
-    if (!undone) break;
-    if (wake_fds_[0] >= 0) {
-      pollfd wp{wake_fds_[0], POLLIN, 0};
-      (void)::poll(&wp, 1, server_.opts_.poll_interval_ms);
-      drain_wakeup();
-    } else {
-      pollfd none{-1, 0, 0};
-      (void)::poll(&none, 1, server_.opts_.poll_interval_ms);
-    }
+    // Pick up whatever the kernel already buffered — a client that
+    // pipelined requests just before SIGTERM (say a healthz probe behind
+    // a slow batch) still gets every one answered, with healthz now
+    // reporting "draining".
     for (auto& c : conns_) {
       if (c->rfd >= 0 && !c->draining && !c->closing) read_ready(*c);
     }
     process_lines();
+    drain_completions();
+    flush_writes();
+    if (awaiting_ == 0) break;
+    // poll() skips a negative fd: without a wakeup pipe this is a sleep.
+    pollfd wp{wake_fds_[0], POLLIN, 0};
+    (void)::poll(&wp, 1, server_.opts_.poll_interval_ms);
+    drain_wakeup();
   }
   // Everything resolvable is resolved; push any responses still parked
-  // on their exchanges/deques into the write buffers.
+  // in outboxes into the write buffers.
   for (auto& cp : conns_) {
-    if (cp->rfd < 0) continue;
-    if (cp->http) {
-      flush_http(*cp);
-    } else {
-      flush_deliverable(*cp);
-    }
+    if (cp->rfd >= 0) deliver(*cp);
   }
   // Then a bounded grace for the write buffers to reach their clients.
   const double deadline = now_us() + server_.opts_.drain_grace_ms * 1000.0;
@@ -1564,7 +1523,7 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
   // One compute queue shared by every shard (at most the service's jobs
   // tasks at once on the process pool, which it starts on the first miss),
   // one background cache flusher, N event loops.  The queue and the
-  // flusher must outlive the shards: shard drain waits on futures the
+  // flusher must outlive the shards: shard drain waits on computes the
   // queue is still running, and the flusher owns every cache checkpoint.
   compute_ = std::make_unique<detail::ComputeQueue>(service_.jobs());
   flusher_ = std::make_unique<detail::CacheFlusher>(service_, log);
@@ -1598,7 +1557,7 @@ void Server::serve(std::ostream& log, int stdio_in, int stdio_out) {
   }
 
   // Drain: stop accepting, then let every shard answer what it owes
-  // (buffered complete lines and in-flight futures) before the compute
+  // (buffered complete lines and in-flight computes) before the compute
   // queue and the flusher wind down — the flusher's destructor performs
   // the final cache checkpoint.  The queue's destructor waits for every
   // task this server queued, on_complete() included (a task whose

@@ -28,7 +28,7 @@
 //   acceptor ──round-robin──▶ shard 0..N-1 (one poll() loop each)
 //                                 │ admit (cheap parse/lint)
 //                                 ▼
-//                         compute queue ──futures──▶ completions
+//                         compute queue ─responses─▶ completions
 //                      (≤ jobs tasks at once on           │
 //                       engine::shared_pool())            │
 //                                 ▲                       │
@@ -39,18 +39,20 @@
 // shards; each shard owns its connections exclusively and runs its own
 // poll() loop with a wakeup pipe.  A shard splits every request line
 // through serve::Service::admit() — the cheap parse/admission phase —
-// and dispatches the compute phase as a std::future to the server's
-// compute queue: a FIFO of which at most the service's jobs() tasks run
-// at once, on the process-wide engine::shared_pool() (the server owns no
-// compute thread, and the pool starts on the first miss, not before).  A
-// completed future pokes the shard's wakeup pipe so the response is
-// flushed immediately instead of on the next poll tick.
-// Responses complete out of order per connection: requests carrying an
-// "id" are answered as soon as their future resolves (the id is echoed so
-// clients can match), requests without an "id" are answered in request
-// order.  Warm requests are completed inline on the shard (a memo probe,
-// no pool handoff), so one slow uncached prediction never stalls cached
-// hits — on the same connection or any other.  The periodic
+// and dispatches the compute phase to the server's compute queue: a FIFO
+// of which at most the service's jobs() tasks run at once, on the
+// process-wide engine::shared_pool() (the server owns no compute thread,
+// and the pool starts on the first miss, not before).  A finished task
+// hands its response back to its shard and pokes the wakeup pipe, so the
+// response is flushed immediately instead of on the next poll tick.
+// Responses complete out of order; every response stream — a raw-wire or
+// stdio connection, or one HTTP exchange — delivers through one outbox
+// with one rule: a request carrying an "id" is answered as soon as it is
+// done (the id is echoed so clients can match), a request without one
+// only in request order.  A line shed at the backlog is answered in the
+// same way.  Warm requests are completed inline on the shard (a memo
+// probe, no pool handoff), so one slow uncached prediction never stalls
+// cached hits — on the same connection or any other.  The periodic
 // persistent-cache checkpoint runs on a dedicated background flusher
 // thread, never on an event loop.
 //
@@ -67,7 +69,7 @@
 // Shutdown: SIGTERM/SIGINT (serve::install_shutdown_handlers), stop(), or
 // — for run_stdio() — the stdio connection closing stops accepting,
 // answers every complete request line already buffered, waits for every
-// in-flight compute future (answered, not dropped) and for every task the
+// in-flight compute (answered, not dropped) and for every task the
 // server queued to finish, flushes write buffers (bounded grace) and the
 // persistent cache, and returns.  The Server
 // ignores SIGPIPE: a reader that goes away is a disconnect, never a
@@ -161,7 +163,7 @@ struct ServerOptions {
   /// connections get the structured "timeout" error line.
   double header_timeout_ms = 0.0;
   /// poll() timeout — the latency bound on noticing stop()/SIGTERM.
-  /// (Completed futures do not wait for it: they poke the owning shard's
+  /// (Finished computes do not wait for it: they poke the owning shard's
   /// wakeup pipe.)
   int poll_interval_ms = 50;
   /// Grace for flushing write buffers at drain (and for closing

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -19,10 +20,15 @@ double steady_ns() {
           .count());
 }
 
+/// Prometheus sample values at 15 significant digits: every integer a
+/// gauge or a histogram sum can count up to 10^15 renders exactly, while
+/// sums of decimal observations keep their short form (4.6, not the
+/// shortest round-trip 4.599999999999998).
 std::string fmt_double(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15);
+  return std::string(buf, r.ptr);
 }
 
 }  // namespace

@@ -318,7 +318,10 @@ Service::Service(Options opts)
       latency_(registry_.histogram("rvhpc_serve_request_latency_seconds")) {}
 
 Service::~Service() {
-  if (!opts_.cache_file.empty()) {
+  // flush() (the replay's, or the net drain's checkpoint) usually wrote
+  // the file already; write it again only for entries added since.
+  if (!opts_.cache_file.empty() &&
+      unsaved_.load(std::memory_order_relaxed) > 0) {
     try {
       (void)save_cache(opts_.cache_file, cache_, opts_.cache_max_entries);
     } catch (const std::exception& e) {
@@ -390,6 +393,7 @@ std::string Service::complete(const Parsed& req, double arrival_us) {
     p = engine::backend_for(req.backend)
             .predict(*req.machine, req.sig, req.cfg);
     cache_.put(req.key, *p);
+    unsaved_.fetch_add(1, std::memory_order_relaxed);
   }
   return render(req, *p, hit, arrival_us, span);
 }
@@ -489,12 +493,17 @@ std::string Service::handle_line(const std::string& line) {
   return complete(*adm.request, adm.arrival_us);
 }
 
-std::string Service::reject_overloaded(const std::string& id) {
+Service::Admission Service::shed(const std::string& line) {
+  Admission adm;
   received_.add();
   overloaded_.add();
-  return error_json(id, "overloaded",
-                    "backlog full (" + std::to_string(opts_.queue_capacity) +
-                        " requests pending); retry later");
+  adm.id = recover_id(line);
+  adm.had_id = !adm.id.empty();
+  adm.response = error_json(adm.id, "overloaded",
+                            "backlog full (" +
+                                std::to_string(opts_.queue_capacity) +
+                                " requests pending); retry later");
+  return adm;
 }
 
 bool Service::note_evaluation() {
@@ -508,6 +517,9 @@ bool Service::note_evaluation() {
 void Service::flush(std::ostream& log) {
   if (opts_.cache_file.empty()) return;
   std::lock_guard save_lock(save_mu_);
+  // Cleared before the save reads the cache: an entry added during the
+  // save counts toward the next one.
+  unsaved_.store(0, std::memory_order_relaxed);
   try {
     const SaveResult saved =
         save_cache(opts_.cache_file, cache_, opts_.cache_max_entries);
@@ -519,6 +531,7 @@ void Service::flush(std::ostream& log) {
     }
     log << " to " << opts_.cache_file << "\n";
   } catch (const std::exception& e) {
+    unsaved_.fetch_add(1, std::memory_order_relaxed);  // not saved after all
     log << "serve: WARNING: checkpoint failed: " << e.what() << "\n";
   }
 }

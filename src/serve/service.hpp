@@ -128,7 +128,9 @@ class Service {
   };
 
   explicit Service(Options opts);
-  /// Flushes the persistent cache (best-effort; errors to stderr).
+  /// Saves the persistent cache when complete() added entries since the
+  /// last flush() (best-effort; errors to stderr), so a caller that never
+  /// flushes still persists and one that did is not written twice.
   ~Service();
 
   Service(const Service&) = delete;
@@ -174,8 +176,8 @@ class Service {
 
   /// Phase 2: evaluates an admitted request (cache probe, then the
   /// backend predict on a miss) and renders the response JSON.
-  /// Thread-safe; this is what the net front end dispatches to the engine
-  /// ThreadPool as a future.  Never throws.
+  /// Thread-safe; this is what the net front end dispatches to
+  /// engine::shared_pool().  Never throws.
   [[nodiscard]] std::string complete(const Parsed& req, double arrival_us);
 
   /// Phase 2 without compute, in one memo probe: the response complete()
@@ -191,10 +193,13 @@ class Service {
   /// complete() back to back.  The replay() path; exposed for tests.
   [[nodiscard]] std::string handle_line(const std::string& line);
 
-  /// The structured "overloaded" rejection (also counts it), answered by
-  /// net::Server when its in-flight compute reaches queue_capacity.  `id` is echoed so id-matching clients can pair
-  /// the rejection with its request.
-  [[nodiscard]] std::string reject_overloaded(const std::string& id = "");
+  /// Phase 1 for a line shed at the backlog: the structured "overloaded"
+  /// answer (counted as received and overloaded) that net::Server gives
+  /// instead of admit() once its in-flight compute reaches
+  /// queue_capacity.  The line is not admitted; only its "id" is
+  /// recovered, so the answer echoes it and `had_id` keeps the line in
+  /// the wire-ordering contract like any other.  Never throws.
+  [[nodiscard]] Admission shed(const std::string& line);
 
   /// Counts one completed evaluation toward the checkpoint period;
   /// true when a checkpoint is now due (caller decides which thread pays
@@ -239,6 +244,8 @@ class Service {
   obs::Counter& trimmed_;
   obs::Histogram& latency_;
   std::atomic<std::uint64_t> since_checkpoint_{0};
+  /// Entries complete() put into cache_ since the last flush().
+  std::atomic<std::uint64_t> unsaved_{0};
 };
 
 /// Installs SIGTERM/SIGINT handlers that request a graceful drain:

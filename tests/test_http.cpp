@@ -485,6 +485,105 @@ TEST(HttpServer_, SigtermDrainFinishesChunkedResponseMidFlight) {
   serve::reset_shutdown();
 }
 
+/// The response lines of one batch reply, in the order they were sent.
+std::vector<std::string> body_lines(const std::string& body) {
+  std::vector<std::string> lines;
+  std::istringstream in(body);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+TEST(HttpServer_, BatchIdsMayOvertakeAsTheirComputeLands) {
+  // The raw wire's out-of-order contract, inside one chunked batch: while
+  // the single pool worker computes the slow item, the cached items
+  // behind it are streamed as chunks.
+  net::LoopbackServer s(with_http());
+  net::LoopbackClient cl(s.server.http_port());
+  ASSERT_TRUE(cl.connected());
+  std::string warm;
+  for (int i = 0; i < 4; ++i) {
+    warm += predict_line("w" + std::to_string(i), 1 << i);
+  }
+  ASSERT_TRUE(cl.send_all(http_post(warm)));
+  http::ResponseParser warmed;
+  ASSERT_TRUE(cl.recv_response(warmed));
+
+  std::string body = slow_line("slow", 64);
+  for (int i = 0; i < 4; ++i) {
+    body += predict_line("h" + std::to_string(i), 1 << i);
+  }
+  ASSERT_TRUE(cl.send_all(http_post(body)));
+  http::ResponseParser rp;
+  ASSERT_TRUE(cl.recv_response(rp));
+  ASSERT_TRUE(rp.chunked());
+  std::vector<std::string> order;
+  for (const std::string& line : body_lines(rp.body())) {
+    order.push_back(obs::json::parse(line).find("id")->str);
+  }
+  const std::vector<std::string> want{"h0", "h1", "h2", "h3", "slow"};
+  EXPECT_EQ(order, want);
+}
+
+TEST(HttpServer_, BatchIdLessResponsesStayInRequestOrder) {
+  // Id-less batch items come back in body order even when a later one
+  // finishes first, exactly like id-less lines on the raw wire.
+  serve::Service::Options sopts;
+  sopts.jobs = 2;
+  net::LoopbackServer s(with_http(), sopts);
+  net::LoopbackClient cl(s.server.http_port());
+  ASSERT_TRUE(cl.connected());
+  ASSERT_TRUE(cl.send_all(http_post(predict_line("w", 8))));
+  http::ResponseParser warmed;
+  ASSERT_TRUE(cl.recv_response(warmed));
+
+  std::string body = slow_line("", 64);
+  for (int i = 0; i < 3; ++i) body += predict_line("", 8);
+  ASSERT_TRUE(cl.send_all(http_post(body)));
+  http::ResponseParser rp;
+  ASSERT_TRUE(cl.recv_response(rp));
+  std::vector<std::string> backends;
+  for (const std::string& line : body_lines(rp.body())) {
+    backends.push_back(obs::json::parse(line).find("backend")->str);
+  }
+  const std::vector<std::string> want{"interval", "analytic", "analytic",
+                                      "analytic"};
+  EXPECT_EQ(backends, want)
+      << "id-less batch items must be delivered in request order";
+}
+
+TEST(HttpServer_, BatchLinesShedAtTheBacklogKeepTheContract) {
+  // With one request's worth of backlog, the slow item fills it and the
+  // next two are shed.  The shed id-less item still waits its turn behind
+  // the slow one, and the shed item with an id gets that id back.
+  serve::Service::Options sopts = net::LoopbackServer::one_job();
+  sopts.queue_capacity = 1;
+  net::LoopbackServer s(with_http(), sopts);
+  net::LoopbackClient cl(s.server.http_port());
+  ASSERT_TRUE(cl.connected());
+  ASSERT_TRUE(cl.send_all(http_post(slow_line("", 64) + predict_line("", 8) +
+                                    predict_line("o", 4))));
+  http::ResponseParser rp;
+  ASSERT_TRUE(cl.recv_response(rp));
+  std::vector<std::string> idless;
+  int with_id = 0;
+  for (const std::string& line : body_lines(rp.body())) {
+    const obs::json::Value v = obs::json::parse(line);
+    if (v.find("id")->str == "o") {
+      ++with_id;
+      EXPECT_EQ(v.find("error")->str, "overloaded");
+    } else {
+      EXPECT_EQ(v.find("id")->str, "");
+      idless.push_back(v.find("status")->str == "ok"
+                           ? v.find("backend")->str
+                           : v.find("error")->str);
+    }
+  }
+  EXPECT_EQ(with_id, 1) << rp.body();
+  const std::vector<std::string> want{"interval", "overloaded"};
+  EXPECT_EQ(idless, want) << rp.body();
+}
+
 TEST(HttpServer_, BothListenersShareOneServiceAndCache) {
   net::LoopbackServer s(with_http());
   // Warm through the raw wire, hit through HTTP: one shared cache.

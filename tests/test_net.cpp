@@ -568,6 +568,71 @@ TEST(NetServer, IdLessResponsesStayInRequestOrder) {
       << "id-less responses must be delivered in request order";
 }
 
+TEST(NetServer, LinesShedAtTheBacklogKeepTheContract) {
+  // With one request's worth of backlog, the slow line fills it and the
+  // next two are shed.  The shed id-less line still waits its turn behind
+  // the slow one, and the shed line with an id gets that id back.
+  serve::Service::Options sopts = net::LoopbackServer::one_job();
+  sopts.queue_capacity = 1;
+  net::LoopbackServer s({}, sopts);
+  net::LoopbackClient cl(s.server.port());
+  ASSERT_TRUE(cl.connected());
+  ASSERT_TRUE(cl.send_all(slow_line(/*id=*/"", 64) + request_line("", "MG", 8) +
+                          request_line("o", "MG", 4)));
+
+  std::vector<std::string> idless;
+  int with_id = 0;
+  for (int i = 0; i < 3; ++i) {
+    const std::string line = cl.recv_line();
+    ASSERT_FALSE(line.empty()) << "response " << i << " never came";
+    const obs::json::Value v = obs::json::parse(line);
+    if (v.find("id")->str == "o") {
+      ++with_id;
+      EXPECT_EQ(v.find("error")->str, "overloaded");
+    } else {
+      EXPECT_EQ(v.find("id")->str, "");
+      idless.push_back(v.find("status")->str == "ok" ? v.find("backend")->str
+                                                     : v.find("error")->str);
+    }
+  }
+  EXPECT_EQ(with_id, 1);
+  const std::vector<std::string> want{"interval", "overloaded"};
+  EXPECT_EQ(idless, want)
+      << "a shed id-less line must not overtake the one before it";
+}
+
+TEST(NetServer, EveryResponseReachesItsRequestWhileComputesOverlap) {
+  // Twelve uncached lines on one connection, ids on the even ones: the
+  // connection always has compute in flight while its delivered answers
+  // are dropped from the front, and each answer must still land on its
+  // own request — ids matched by cores, id-less ones in request order.
+  net::LoopbackServer s;
+  net::LoopbackClient cl(s.server.port());
+  ASSERT_TRUE(cl.connected());
+  constexpr int kLines = 12;
+  std::string batch;
+  for (int i = 0; i < kLines; ++i) {
+    batch += slow_line(i % 2 == 0 ? "s" + std::to_string(i) : "", 8 + i);
+  }
+  ASSERT_TRUE(cl.send_all(batch));
+
+  std::vector<int> idless_cores;
+  for (int i = 0; i < kLines; ++i) {
+    const std::string line = cl.recv_line();
+    ASSERT_FALSE(line.empty()) << "response " << i << " never came";
+    const obs::json::Value v = obs::json::parse(line);
+    const int cores = static_cast<int>(v.find("cores")->num);
+    const std::string& id = v.find("id")->str;
+    if (id.empty()) {
+      idless_cores.push_back(cores);
+    } else {
+      EXPECT_EQ(id, "s" + std::to_string(cores - 8));
+    }
+  }
+  const std::vector<int> want{9, 11, 13, 15, 17, 19};
+  EXPECT_EQ(idless_cores, want);
+}
+
 TEST(NetServer, SigtermDrainAnswersInFlightComputes) {
   serve::install_shutdown_handlers();
   serve::reset_shutdown();

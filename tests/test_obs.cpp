@@ -476,6 +476,20 @@ TEST(ObsMetrics, RenderedHistogramsKeepTheirGoldenBytes) {
             "}\n");
 }
 
+TEST(ObsMetrics, RenderedValuesAboveAMillionKeepEveryDigit) {
+  // A byte gauge and a status histogram's sum pass 10^6 on a busy server;
+  // /metrics must print them exactly, not to six significant digits.
+  obs::Registry r;
+  r.gauge("rvhpc_test_bytes").set(4194303.0);
+  obs::Histogram& h = r.histogram("rvhpc_test_status", "", {299.5});
+  for (int i = 0; i < 5001; ++i) h.observe(200.0);
+  const std::string text = r.render_text();
+  EXPECT_NE(text.find("rvhpc_test_bytes 4194303\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("rvhpc_test_status_sum 1000200\n"), std::string::npos)
+      << text;
+}
+
 // --- memsim emission -------------------------------------------------------
 
 TEST(ObsMemsim, HierarchyEmitsCacheStatsAndCountsAccesses) {

@@ -641,4 +641,43 @@ TEST(Service, FlushWritesALoadableSnapshot) {
   EXPECT_EQ(r.restored, 1u);
 }
 
+bool file_exists(const std::string& path) {
+  return std::ifstream(path).good();
+}
+
+TEST(Service, DestructorDoesNotRewriteAFlushedCache) {
+  // replay() flushes; the destructor has nothing new to save, so a file
+  // removed after the replay stays removed.
+  TempFile f("test_serve_flushed_once.tmp.bin");
+  {
+    serve::Service::Options opts = no_persist();
+    opts.cache_file = f.path;
+    serve::Service svc(opts);
+    std::ostringstream out, log;
+    (void)svc.replay(kFixture, out, log);
+    ASSERT_TRUE(file_exists(f.path));
+    std::remove(f.path.c_str());
+  }
+  EXPECT_FALSE(file_exists(f.path))
+      << "~Service wrote the cache file a second time";
+}
+
+TEST(Service, DestructorSavesEntriesNeverFlushed) {
+  // A library caller that only calls handle_line and never flush() still
+  // persists its predictions.
+  TempFile f("test_serve_unflushed.tmp.bin");
+  {
+    serve::Service::Options opts = no_persist();
+    opts.cache_file = f.path;
+    serve::Service svc(opts);
+    (void)svc.handle_line(
+        R"({"id": "u", "machine": "sg2044", "kernel": "MG", "cores": 8})");
+    EXPECT_FALSE(file_exists(f.path));
+  }
+  engine::PredictionCache loaded(16);
+  const serve::LoadResult r = serve::load_cache(f.path, loaded);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.restored, 1u);
+}
+
 }  // namespace
